@@ -154,12 +154,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		wall := time.Since(begin)
 		runs1, restored1, warm1, meas1 := tally.Snapshot()
-		doc.add(r, time.Since(begin), runSplit{
+		doc.add(r, wall, runSplit{
 			Runs:       runs1 - runs0,
 			Restored:   restored1 - restored0,
 			WarmupMS:   float64((warm1-warm0)/1000 /*ns→µs*/) / 1e3,
 			MeasuredMS: float64((meas1-meas0)/1000) / 1e3,
+			CoreUtil:   coreUtil(warm1-warm0+meas1-meas0, wall, env.Parallelism),
 		})
 		return r
 	}
@@ -214,10 +216,13 @@ type benchEntry struct {
 	// The per-run host-time split: simulations executed for this entry (cache
 	// hits excluded — nothing ran), how many restored their warmup prelude
 	// from a warm-state checkpoint, and where the host wall-clock went.
+	// CoreUtil is how busy the env's run pool kept its workers: the runs'
+	// summed host wall time over the entry's wall time × Parallelism.
 	Runs       int                  `json:"runs"`
 	Restored   int                  `json:"restored"`
 	WarmupMS   float64              `json:"warmup_ms"`
 	MeasuredMS float64              `json:"measured_ms"`
+	CoreUtil   float64              `json:"core_util"`
 	Result     *dssmem.FigureResult `json:"result"`
 }
 
@@ -227,6 +232,15 @@ type runSplit struct {
 	Restored   int
 	WarmupMS   float64
 	MeasuredMS float64
+	CoreUtil   float64
+}
+
+// coreUtil is Σ run wall ÷ (entry wall × parallelism), 0 when nothing ran.
+func coreUtil(runNS int64, wall time.Duration, parallelism int) float64 {
+	if wall <= 0 {
+		return 0
+	}
+	return float64(runNS) / (float64(wall) * float64(max(parallelism, 1)))
 }
 
 // add records a completed figure or ablation with its timing.
@@ -238,6 +252,7 @@ func (d *benchDoc) add(r *dssmem.FigureResult, wall time.Duration, split runSpli
 		Restored:   split.Restored,
 		WarmupMS:   split.WarmupMS,
 		MeasuredMS: split.MeasuredMS,
+		CoreUtil:   split.CoreUtil,
 		Result:     r,
 	}
 	for _, s := range r.Series {

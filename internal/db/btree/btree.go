@@ -124,20 +124,26 @@ func (t *Tree) setNext(pg, next int) {
 	binary.LittleEndian.PutUint64(t.bytes(pg)[8:], uint64(next+1))
 }
 
-func (t *Tree) entryOff(pg, i int) int {
+func (t *Tree) entryOff(pg, i int) int { return nodeEntryOff(t.bytes(pg), i) }
+
+// nodeEntryOff is entryOff over a node's bytes: the key accessors below fetch
+// the page once, which keeps them cheap enough to inline.
+func nodeEntryOff(b []byte, i int) int {
 	off := headerSize
-	if !t.isLeaf(pg) {
+	if b[2] != 1 {
 		off += 8
 	}
 	return off + i*entrySize
 }
 
 func (t *Tree) keyAt(pg, i int) int64 {
-	return int64(binary.LittleEndian.Uint64(t.bytes(pg)[t.entryOff(pg, i):]))
+	b := t.bytes(pg)
+	return int64(binary.LittleEndian.Uint64(b[nodeEntryOff(b, i):]))
 }
 
 func (t *Tree) valAt(pg, i int) uint64 {
-	return binary.LittleEndian.Uint64(t.bytes(pg)[t.entryOff(pg, i)+8:])
+	b := t.bytes(pg)
+	return binary.LittleEndian.Uint64(b[nodeEntryOff(b, i)+8:])
 }
 
 func (t *Tree) childAt(pg, i int) int {
@@ -308,11 +314,12 @@ type Iterator struct {
 
 // Seek positions an iterator at the first entry with key >= lo; visit (may be
 // nil) is called for every index page the scan touches, letting the engine
-// charge page pins.
-func (t *Tree) Seek(m storage.Mem, lo, hi int64, visit func(pg int)) *Iterator {
+// charge page pins. The iterator is returned by value so a probe that keeps
+// it in a local variable allocates nothing.
+func (t *Tree) Seek(m storage.Mem, lo, hi int64, visit func(pg int)) Iterator {
 	pg := t.descend(m, lo, visit)
 	idx := t.lowerBound(pg, lo)
-	return &Iterator{t: t, pg: pg, idx: idx, hi: hi, visit: visit}
+	return Iterator{t: t, pg: pg, idx: idx, hi: hi, visit: visit}
 }
 
 // Next returns the next entry within the range. ok=false at the end.

@@ -59,7 +59,7 @@ func (db *Database) Image() *Image {
 		PoolPages:      db.cfg.PoolPages,
 		BufHeaderBytes: db.cfg.BufHeaderBytes,
 		SharedBytes:    db.SharedBytes,
-		PoolData:       append([]byte(nil), db.Pool.UsedData()...),
+		PoolData:       db.Pool.UsedData(),
 		Kinds:          append([]storage.PageKind(nil), db.Pool.UsedKinds()...),
 	}
 	for _, rel := range db.Catalog.All() {

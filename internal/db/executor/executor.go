@@ -10,6 +10,7 @@ package executor
 import (
 	"sort"
 
+	"dssmem/internal/db/btree"
 	"dssmem/internal/db/catalog"
 	"dssmem/internal/db/engine"
 	"dssmem/internal/db/storage"
@@ -51,6 +52,13 @@ type Context struct {
 
 	execBase   memsys.Addr
 	execCursor uint64
+
+	// Index probes are the hot path of the index-scan queries; these keep
+	// them allocation-free. freePins holds released scan pin sets (probes can
+	// nest, so more than one may be live); ixSpans caches each index's span
+	// name.
+	freePins []*pinSet
+	ixSpans  map[*btree.Tree]string
 }
 
 // NewContext opens a query context for a session. Private state lives in the
@@ -108,6 +116,35 @@ func newPinSet(s *engine.Session) *pinSet {
 	return &pinSet{s: s, pages: make(map[int]struct{})}
 }
 
+// scanPins takes a released pin set from the context's free list, or makes
+// one; putScanPins releases its pins and returns it to the list.
+func (c *Context) scanPins() *pinSet {
+	if n := len(c.freePins); n > 0 {
+		ps := c.freePins[n-1]
+		c.freePins = c.freePins[:n-1]
+		return ps
+	}
+	return newPinSet(c.S)
+}
+
+func (c *Context) putScanPins(ps *pinSet) {
+	ps.releaseAll()
+	c.freePins = append(c.freePins, ps)
+}
+
+// ixSpan returns the obs span name of an index scan, built once per index.
+func (c *Context) ixSpan(rel *catalog.Relation, index string, ix *btree.Tree) string {
+	name, ok := c.ixSpans[ix]
+	if !ok {
+		if c.ixSpans == nil {
+			c.ixSpans = make(map[*btree.Tree]string)
+		}
+		name = "ixscan:" + rel.Name + "." + index
+		c.ixSpans[ix] = name
+	}
+	return name
+}
+
 // pin pins pg if this scan does not already hold it.
 func (ps *pinSet) pin(pg int) {
 	if _, ok := ps.pages[pg]; ok {
@@ -124,7 +161,7 @@ func (ps *pinSet) releaseAll() {
 	for _, pg := range ps.order {
 		ps.s.UnpinPage(pg)
 	}
-	ps.pages = make(map[int]struct{})
+	clear(ps.pages)
 	ps.order = ps.order[:0]
 }
 
@@ -164,11 +201,11 @@ func SeqScan(ctx *Context, rel *catalog.Relation, cols []int, fn func(tid storag
 // through the scan (upper nodes stay pinned and cached — the paper's "nodes
 // close to the root ... are likely to be reused").
 func IndexRange(ctx *Context, rel *catalog.Relation, index string, lo, hi int64, fn func(key int64, tid storage.TID) bool) {
-	defer obs.Span(ctx.S.P, "ixscan:"+rel.Name+"."+index)()
-	s := ctx.S
 	ix := rel.Index(index)
-	ps := newPinSet(s)
-	defer ps.releaseAll()
+	defer obs.Span(ctx.S.P, ctx.ixSpan(rel, index, ix))()
+	s := ctx.S
+	ps := ctx.scanPins()
+	defer ctx.putScanPins(ps)
 	m := s.Mem()
 	it := ix.Seek(m, lo, hi, func(pg int) {
 		s.P.Work(CostIndexNode)

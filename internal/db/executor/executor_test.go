@@ -240,3 +240,34 @@ func TestAccessPathEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIndexProbeAllocFree pins the index-probe path of the index-scan
+// queries as allocation-free once warm: an exact-key probe plus the heap
+// fetches it drives, with nested probes (an inner probe while an outer one
+// holds its pins) as Q21's plans do.
+func TestIndexProbeAllocFree(t *testing.T) {
+	_, _, ctx := fixture(2000, 50)
+	rel := ctx.S.Lookup("t")
+	f := NewFetcher(ctx, rel)
+	defer f.Close()
+	var sum int64
+	probe := func() {
+		for key := int64(0); key < 50; key += 7 {
+			IndexLookupEach(ctx, rel, "t_k", key, func(tid storage.TID) bool {
+				sum += f.Field(tid, 1)
+				IndexLookupEach(ctx, rel, "t_k", key+1, func(tid storage.TID) bool {
+					sum += f.Field(tid, 0)
+					return false
+				})
+				return true
+			})
+		}
+	}
+	probe() // warm-up: pin sets, span names and the fetcher's pin map grow once
+	if n := testing.AllocsPerRun(20, probe); n != 0 {
+		t.Fatalf("index probes allocate %.1f times per run, want 0", n)
+	}
+	if sum == 0 {
+		t.Fatal("probes read nothing")
+	}
+}

@@ -113,22 +113,36 @@ type TID struct {
 // bytes double as the simulated memory contents. The paper's configuration
 // (512 MB pool for a ~400 MB database) means the whole database is resident,
 // so the pool is sized to hold everything and never replaces.
+//
+// The simulated address range covers the full capacity, but the host bytes
+// behind it come in fixed chunks of chunkPages pages, each allocated when
+// AllocPage (or Restore) first reaches it. A pool sized with headroom thus
+// costs host memory only for the pages in use; simulated addresses do not
+// depend on the chunking.
 type Pool struct {
-	base  memsys.Addr
-	data  []byte
-	kinds []PageKind
-	pages int
-	used  int
+	base   memsys.Addr
+	chunks []*chunk // nil until a page in the chunk is allocated
+	kinds  []PageKind
+	pages  int
+	used   int
 }
 
-// NewPool allocates a pool of the given page count at base in the shared
-// region.
+// chunkPages is the number of pages per host allocation of pool memory.
+const chunkPages = 256
+
+// chunk is one host allocation of pool pages (2 MiB). As an array of
+// fixed-size pages it lets PageBytes return a page without a slice bounds
+// check.
+type chunk [chunkPages][PageSize]byte
+
+// NewPool creates a pool of the given page count at base in the shared
+// region. No page memory is allocated until pages are.
 func NewPool(base memsys.Addr, pages int) *Pool {
 	return &Pool{
-		base:  base,
-		data:  make([]byte, pages*PageSize),
-		kinds: make([]PageKind, pages),
-		pages: pages,
+		base:   base,
+		chunks: make([]*chunk, (pages+chunkPages-1)/chunkPages),
+		kinds:  make([]PageKind, pages),
+		pages:  pages,
 	}
 }
 
@@ -144,12 +158,21 @@ func (p *Pool) Pages() int { return p.pages }
 // Used returns the number of allocated pages.
 func (p *Pool) Used() int { return p.used }
 
+// chunk returns chunk c, allocating it on first use.
+func (p *Pool) chunk(c int) *chunk {
+	if p.chunks[c] == nil {
+		p.chunks[c] = new(chunk)
+	}
+	return p.chunks[c]
+}
+
 // AllocPage reserves the next free page and returns its number.
 func (p *Pool) AllocPage() int {
 	if p.used >= p.pages {
 		panic("storage: buffer pool exhausted; size the pool to hold the database")
 	}
 	pg := p.used
+	p.chunk(pg / chunkPages)
 	p.used++
 	return pg
 }
@@ -157,12 +180,19 @@ func (p *Pool) AllocPage() int {
 // MarkPage tags page pg with its kind.
 func (p *Pool) MarkPage(pg int, kind PageKind) { p.kinds[pg] = kind }
 
-// UsedData returns the backing bytes of the allocated pages (checkpoint
-// capture). The caller must not retain the slice across further allocations.
-func (p *Pool) UsedData() []byte { return p.data[:p.used*PageSize] }
+// UsedData returns a copy of the backing bytes of the allocated pages, in page
+// order (checkpoint capture). The caller owns the slice.
+func (p *Pool) UsedData() []byte {
+	out := make([]byte, p.used*PageSize)
+	for pg := 0; pg < p.used; pg++ {
+		copy(out[pg*PageSize:], p.PageBytes(pg))
+	}
+	return out
+}
 
 // UsedKinds returns the page-kind tags of the allocated pages (checkpoint
-// capture); same aliasing caveat as UsedData.
+// capture). The slice aliases the pool: the caller must not retain it across
+// further allocations.
 func (p *Pool) UsedKinds() []PageKind { return p.kinds[:p.used] }
 
 // Restore overwrites a freshly created pool with a captured page image:
@@ -181,7 +211,9 @@ func (p *Pool) Restore(data []byte, kinds []PageKind) error {
 	if n > p.pages {
 		return fmt.Errorf("storage: restore: %d pages exceed pool capacity %d", n, p.pages)
 	}
-	copy(p.data, data)
+	for pg := 0; pg < n; pg++ {
+		copy(p.chunk(pg / chunkPages)[pg%chunkPages][:], data[pg*PageSize:])
+	}
 	copy(p.kinds, kinds)
 	p.used = n
 	return nil
@@ -208,9 +240,10 @@ func (p *Pool) PageAddr(pg int) memsys.Addr {
 	return p.base + memsys.Addr(pg)*PageSize
 }
 
-// PageBytes returns the backing bytes of page pg.
+// PageBytes returns the backing bytes of page pg, which must lie in a chunk
+// already reached by AllocPage or Restore (every allocated page does).
 func (p *Pool) PageBytes(pg int) []byte {
-	return p.data[pg*PageSize : (pg+1)*PageSize]
+	return p.chunks[uint(pg)/chunkPages][uint(pg)%chunkPages][:]
 }
 
 // slotCount reads the page's tuple count from its header.

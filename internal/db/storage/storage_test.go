@@ -217,3 +217,86 @@ func TestTIDOfProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChunkedPool pins the pool's observable behaviour across host-memory
+// chunk boundaries: capacity, page addresses, page bytes, the checkpoint
+// capture of allocated pages and its restore. Page chunkPages-1 and
+// chunkPages sit on either side of the first boundary; the capacity leaves
+// a partial last chunk.
+func TestChunkedPool(t *testing.T) {
+	const base = memsys.Addr(0x40000)
+	pages := 2*chunkPages + 5
+	pool := NewPool(base, pages)
+	if pool.Size() != uint64(pages)*PageSize || pool.Pages() != pages || pool.Used() != 0 {
+		t.Fatalf("size %d pages %d used %d", pool.Size(), pool.Pages(), pool.Used())
+	}
+	if len(pool.UsedData()) != 0 {
+		t.Fatal("empty pool captured bytes")
+	}
+	if pool.chunks[0] != nil {
+		t.Fatal("chunk allocated before any page")
+	}
+	used := chunkPages + 2
+	for i := 0; i < used; i++ {
+		if pg := pool.AllocPage(); pg != i {
+			t.Fatalf("AllocPage = %d, want %d", pg, i)
+		}
+		pool.MarkPage(i, PageKind(1+i%2))
+		b := pool.PageBytes(i)
+		if len(b) != PageSize {
+			t.Fatalf("page %d: %d bytes", i, len(b))
+		}
+		b[0], b[PageSize-1] = byte(i), byte(i>>8)^0xff
+	}
+	if pool.chunks[2] != nil {
+		t.Fatal("chunk allocated ahead of its first page")
+	}
+	for _, pg := range []int{0, chunkPages - 1, chunkPages, used - 1, pages - 1} {
+		if got, want := pool.PageAddr(pg), base+memsys.Addr(pg)*PageSize; got != want {
+			t.Fatalf("PageAddr(%d) = %#x, want %#x", pg, got, want)
+		}
+	}
+	data := pool.UsedData()
+	if len(data) != used*PageSize {
+		t.Fatalf("UsedData = %d bytes, want %d", len(data), used*PageSize)
+	}
+	for i := 0; i < used; i++ {
+		page := data[i*PageSize : (i+1)*PageSize]
+		if page[0] != byte(i) || page[PageSize-1] != byte(i>>8)^0xff {
+			t.Fatalf("captured page %d out of order", i)
+		}
+	}
+	// The capture is a copy: later writes do not reach it.
+	first := data[chunkPages*PageSize]
+	pool.PageBytes(chunkPages)[0]++
+	if data[chunkPages*PageSize] != first {
+		t.Fatal("UsedData aliases the pool")
+	}
+	pool.PageBytes(chunkPages)[0]--
+
+	kinds := append([]PageKind(nil), pool.UsedKinds()...)
+	fresh := NewPool(base, pages)
+	if err := fresh.Restore(data, kinds); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Used() != used {
+		t.Fatalf("restored Used = %d, want %d", fresh.Used(), used)
+	}
+	for i := 0; i < used; i++ {
+		if string(fresh.PageBytes(i)) != string(pool.PageBytes(i)) || fresh.KindOf(i) != pool.KindOf(i) {
+			t.Fatalf("restored page %d differs", i)
+		}
+	}
+	if pg := fresh.AllocPage(); pg != used {
+		t.Fatalf("AllocPage after restore = %d, want %d", pg, used)
+	}
+	if err := NewPool(base, chunkPages).Restore(data, kinds); err == nil {
+		t.Fatal("restore beyond capacity accepted")
+	}
+	for pool.Used() < pages {
+		pool.AllocPage()
+	}
+	if b := pool.PageBytes(pages - 1); len(b) != PageSize {
+		t.Fatalf("last page of the partial chunk: %d bytes", len(b))
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,20 +83,135 @@ func TestMeasureOptsKeysOnOptionsNotTag(t *testing.T) {
 	}
 }
 
+// procLog records the process count of every run a fake runner starts.
+type procLog struct {
+	mu    sync.Mutex
+	procs []int
+}
+
+func (l *procLog) add(n int) {
+	l.mu.Lock()
+	l.procs = append(l.procs, n)
+	l.mu.Unlock()
+}
+
 func TestSweepErrorPropagation(t *testing.T) {
 	boom := errors.New("injected mid-sweep failure")
+	var log procLog
 	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		log.add(o.Processes)
 		if o.Processes == 6 {
 			return nil, boom
 		}
 		return fakeStats(o), nil
 	})
+	e.Parallelism = 1
 	_, err := e.Sweep("vclass", e.VClass(), tpch.Q6, workload.Options{})
 	if err == nil {
 		t.Fatal("failing measurement did not fail the sweep")
 	}
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected failure in the chain", err)
+	}
+	// Largest first: 8 succeeds, 6 fails, and nothing starts after that.
+	if fmt.Sprint(log.procs) != "[8 6]" {
+		t.Fatalf("runs started = %v, want [8 6]: the sweep went on after a failure", log.procs)
+	}
+}
+
+// TestSweepErrorLowestIndex: when several points fail, the sweep reports the
+// one earliest in process-count order, whichever finished first.
+func TestSweepErrorLowestIndex(t *testing.T) {
+	var both sync.WaitGroup
+	both.Add(2)
+	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		if o.Processes == 8 || o.Processes == 6 {
+			// Both failing points are in flight before either reports.
+			both.Done()
+			both.Wait()
+			return nil, fmt.Errorf("fail at %d", o.Processes)
+		}
+		return fakeStats(o), nil
+	})
+	e.Parallelism = 2
+	_, err := e.Sweep("vclass", e.VClass(), tpch.Q6, workload.Options{})
+	if err == nil || !strings.Contains(err.Error(), "/p6: fail at 6") {
+		t.Fatalf("err = %v, want the p6 failure (lowest index)", err)
+	}
+}
+
+// TestFanOutLargestFirst pins the dispatch order: at Parallelism 1 a sweep
+// runs 8, 6, 4, 2, 1 processes, and a figure starts every 8-process run
+// before any 6-process run.
+func TestFanOutLargestFirst(t *testing.T) {
+	var log procLog
+	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		log.add(o.Processes)
+		return fakeStats(o), nil
+	})
+	e.Parallelism = 1
+	var points []int
+	e.OnPoint = func(idx, procs int, _ rescache.Digest, _ bool) {
+		if ProcCounts[idx] != procs {
+			t.Errorf("OnPoint idx %d carries procs %d", idx, procs)
+		}
+		points = append(points, procs)
+	}
+	if _, err := e.Sweep("vclass", e.VClass(), tpch.Q6, workload.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(log.procs) != "[8 6 4 2 1]" {
+		t.Fatalf("sweep dispatch order = %v, want [8 6 4 2 1]", log.procs)
+	}
+	if fmt.Sprint(points) != "[8 6 4 2 1]" {
+		t.Fatalf("OnPoint calls = %v, want one per point", points)
+	}
+
+	log.procs = nil
+	e.OnPoint = nil
+	r, err := Fig5(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[8 8 8 6 6 6 4 4 4 2 2 2 1 1 1]"
+	if fmt.Sprint(log.procs) != want {
+		t.Fatalf("Fig. 5 dispatch order = %v, want %s", log.procs, want)
+	}
+	for _, s := range r.Series {
+		for i, p := range s.Points {
+			if p.Processes != ProcCounts[i] {
+				t.Fatalf("%s point %d holds %d processes: result left its slot", s.Query, i, p.Processes)
+			}
+		}
+	}
+}
+
+// TestFigureIndependentOfParallelism: a figure's series and table are the
+// same bytes whether its runs execute one at a time or four at once.
+func TestFigureIndependentOfParallelism(t *testing.T) {
+	render := func(par int) map[int]string {
+		e := NewEnvWith(Tiny, sharedEnv.Data)
+		e.Parallelism = par
+		out := map[int]string{}
+		for _, id := range []int{2, 5} {
+			var table bytes.Buffer
+			r, err := RunFigure(e, id, &table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			series, err := json.Marshal(r.Series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[id] = table.String() + string(series)
+		}
+		return out
+	}
+	serial, parallel := render(1), render(4)
+	for _, id := range []int{2, 5} {
+		if serial[id] != parallel[id] {
+			t.Fatalf("fig%d differs between Parallelism 1 and 4:\n%s\n---\n%s", id, serial[id], parallel[id])
+		}
 	}
 }
 

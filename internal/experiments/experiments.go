@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"dssmem/internal/core"
@@ -261,36 +262,112 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 	return m, hit, nil
 }
 
-// Sweep measures a query over ProcCounts on one machine variant, in parallel
-// up to Env.Parallelism, and returns the series in ascending process count.
+// Sweep measures a query over ProcCounts on one machine variant and returns
+// the series in ascending process count. It is the one-query case of the
+// figure fan-out (see sweeps and measureAll): points run in parallel up to
+// Env.Parallelism, largest process count first.
 func (e *Env) Sweep(tag string, spec machine.Spec, q tpch.QueryID, opts workload.Options) (core.Series, error) {
-	s := core.Series{Machine: spec.Name, Query: q.String(), Points: make([]core.Measurement, len(ProcCounts))}
-	sem := make(chan struct{}, e.parallelism())
-	errs := make([]error, len(ProcCounts))
+	ss, err := e.sweeps(tag, spec, []tpch.QueryID{q}, opts)
+	return ss[0], err
+}
+
+// sweeps measures every query in qs over ProcCounts on one machine variant as
+// a single fan-out and returns one series per query, each in ascending process
+// count. OnPoint fires once per completed point with the point's index within
+// its query's sweep. On error the series hold whatever points completed.
+func (e *Env) sweeps(tag string, spec machine.Spec, qs []tpch.QueryID, opts workload.Options) ([]core.Series, error) {
+	opts.Spec = spec
+	ms := make([]measurement, 0, len(qs)*len(ProcCounts))
+	for _, q := range qs {
+		for _, n := range ProcCounts {
+			ms = append(ms, measurement{tag: tag, q: q, procs: n, opts: opts})
+		}
+	}
+	var done func(i int, hit bool)
+	if e.OnPoint != nil {
+		done = func(i int, hit bool) {
+			m := ms[i]
+			e.OnPoint(i%len(ProcCounts), m.procs, rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, e.CanonicalOptions(m.q, m.procs, m.opts)), hit)
+		}
+	}
+	pts, err := e.measureAll(ms, done)
+	out := make([]core.Series, len(qs))
+	for i, q := range qs {
+		out[i] = core.Series{Machine: spec.Name, Query: q.String(), Points: pts[i*len(ProcCounts) : (i+1)*len(ProcCounts)]}
+	}
+	return out, err
+}
+
+// measurement is one run a figure or sweep needs: MeasureOpts' arguments.
+type measurement struct {
+	tag   string
+	q     tpch.QueryID
+	procs int
+	opts  workload.Options
+}
+
+// measureAll runs every measurement through one pool of Env.Parallelism
+// workers and returns the results in ms order, so callers' tables and series
+// do not depend on completion order.
+//
+// Dispatch is largest process count first, ties in ms order. A run's host
+// time grows with its process count, so the longest runs start at once and
+// the short ones fill the remaining cores around them; a figure can finish no
+// sooner than its largest run.
+//
+// After a measurement fails no further one starts (runs already in flight
+// finish). The error returned is that of the lowest-index failed measurement.
+// done, when non-nil, is called after each successful measurement, from the
+// worker goroutines.
+func (e *Env) measureAll(ms []measurement, done func(i int, hit bool)) ([]core.Measurement, error) {
+	order := make([]int, len(ms))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ms[order[a]].procs > ms[order[b]].procs })
+
+	out := make([]core.Measurement, len(ms))
+	errs := make([]error, len(ms))
+	var (
+		mu     sync.Mutex
+		next   int
+		failed bool
+	)
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failed || next == len(order) {
+			return 0, false
+		}
+		next++
+		return order[next-1], true
+	}
 	var wg sync.WaitGroup
-	for i, n := range ProcCounts {
-		i, n := i, n
+	for w := 0; w < min(e.parallelism(), len(ms)); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			o := opts
-			o.Spec = spec
-			var hit bool
-			s.Points[i], hit, errs[i] = e.MeasureCached(tag, q, n, o)
-			if errs[i] == nil && e.OnPoint != nil {
-				e.OnPoint(i, n, rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, e.CanonicalOptions(q, n, o)), hit)
+			for i, ok := claim(); ok; i, ok = claim() {
+				m := ms[i]
+				var hit bool
+				out[i], hit, errs[i] = e.MeasureCached(m.tag, m.q, m.procs, m.opts)
+				if errs[i] != nil {
+					mu.Lock()
+					failed = true
+					mu.Unlock()
+				} else if done != nil {
+					done(i, hit)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return s, err
+			return out, err
 		}
 	}
-	return s, nil
+	return out, nil
 }
 
 func (e *Env) parallelism() int {

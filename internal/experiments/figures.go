@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"dssmem/internal/core"
+	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/viz"
 	"dssmem/internal/workload"
@@ -101,28 +102,30 @@ func fk(v float64) string  { return fmt.Sprintf("%.3gK", v/1e3) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
 // bothEnds measures all queries on both machines at 1 and 8 processes (the
-// shared substrate of Figs. 2–4).
+// shared substrate of Figs. 2–4), as one fan-out.
 func (e *Env) bothEnds() (map[string]map[tpch.QueryID][2]core.Measurement, error) {
-	out := map[string]map[tpch.QueryID][2]core.Measurement{}
+	machines := []string{"HPV", "SGI"}
+	specs := []machine.Spec{e.VClass(), e.Origin()}
+	procs := []int{1, 8}
+	var ms []measurement
 	for _, q := range tpch.AllQueries {
-		for _, which := range []string{"HPV", "SGI"} {
-			spec := e.VClass()
-			if which == "SGI" {
-				spec = e.Origin()
+		for _, spec := range specs {
+			for _, n := range procs {
+				ms = append(ms, measurement{tag: spec.Name, q: q, procs: n, opts: workload.Options{Spec: spec}})
 			}
-			m1, err := e.Measure(spec, q, 1)
-			if err != nil {
-				return nil, err
-			}
-			m8, err := e.Measure(spec, q, 8)
-			if err != nil {
-				return nil, err
-			}
-			if out[which] == nil {
-				out[which] = map[tpch.QueryID][2]core.Measurement{}
-			}
-			out[which][q] = [2]core.Measurement{m1, m8}
 		}
+	}
+	pts, err := e.measureAll(ms, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]map[tpch.QueryID][2]core.Measurement{}
+	for _, which := range machines {
+		out[which] = map[tpch.QueryID][2]core.Measurement{}
+	}
+	for i := 0; i < len(pts); i += len(procs) {
+		which := machines[(i/len(procs))%len(machines)]
+		out[which][ms[i].q] = [2]core.Measurement{pts[i], pts[i+1]}
 	}
 	return out, nil
 }
@@ -227,13 +230,13 @@ func (e *Env) sweepFigure(id, title string, machineSpec int, metric func(core.Me
 		Title:   title,
 		Headers: append([]string{"query"}, procHeaders()...),
 	}
-	for _, q := range tpch.AllQueries {
-		s, err := e.Sweep(ms.Name, ms, q, workload.Options{})
-		if err != nil {
-			return nil, err
-		}
+	ss, err := e.sweeps(ms.Name, ms, tpch.AllQueries, workload.Options{})
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range ss {
 		r.Series = append(r.Series, s)
-		row := []string{q.String()}
+		row := []string{s.Query}
 		for _, p := range s.Points {
 			row = append(row, format(metric(p)))
 		}
@@ -343,14 +346,14 @@ func Fig10(e *Env) (*Result, error) {
 		Title:   "HP V-Class context switches per 1M instr (voluntary/involuntary)",
 		Headers: append([]string{"query", "kind"}, procHeaders()...),
 	}
-	for _, q := range tpch.AllQueries {
-		s, err := e.Sweep(ms.Name, ms, q, workload.Options{})
-		if err != nil {
-			return nil, err
-		}
+	ss, err := e.sweeps(ms.Name, ms, tpch.AllQueries, workload.Options{})
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range ss {
 		r.Series = append(r.Series, s)
-		vol := []string{q.String(), "voluntary"}
-		inv := []string{q.String(), "involuntary"}
+		vol := []string{s.Query, "voluntary"}
+		inv := []string{s.Query, "involuntary"}
 		for _, p := range s.Points {
 			vol = append(vol, fmt.Sprintf("%.2f", p.VolPerM))
 			inv = append(inv, fmt.Sprintf("%.2f", p.InvolPerM))
@@ -358,7 +361,7 @@ func Fig10(e *Env) (*Result, error) {
 		r.Rows = append(r.Rows, vol, inv)
 		last := s.Points[len(s.Points)-1]
 		r.Notes = append(r.Notes, fmt.Sprintf("%s at 8 procs: voluntary %.2f vs involuntary %.2f per 1M instr (paper: voluntary dominate beyond 2 procs, growing almost linearly)",
-			q.String(), last.VolPerM, last.InvolPerM))
+			s.Query, last.VolPerM, last.InvolPerM))
 	}
 	r.Notes = append(r.Notes, "divergence: the paper found switch rates roughly independent of query type; in this model voluntary switches track buffer-pin lock pressure, which is highest for Q21")
 	return r, nil

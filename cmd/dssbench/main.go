@@ -149,19 +149,20 @@ func main() {
 	}
 	timed := func(run func() (*dssmem.FigureResult, error)) *dssmem.FigureResult {
 		begin := time.Now()
-		runs0, restored0, warm0, meas0 := tally.Snapshot()
+		t0 := tally.Snapshot()
 		r, err := run()
 		if err != nil {
 			fatal(err)
 		}
 		wall := time.Since(begin)
-		runs1, restored1, warm1, meas1 := tally.Snapshot()
+		t1 := tally.Snapshot()
 		doc.add(r, wall, runSplit{
-			Runs:       runs1 - runs0,
-			Restored:   restored1 - restored0,
-			WarmupMS:   float64((warm1-warm0)/1000 /*ns→µs*/) / 1e3,
-			MeasuredMS: float64((meas1-meas0)/1000) / 1e3,
-			CoreUtil:   coreUtil(warm1-warm0+meas1-meas0, wall, env.Parallelism),
+			Runs:         t1.Runs - t0.Runs,
+			Restored:     t1.Restored - t0.Restored,
+			WarmupMS:     float64((t1.WarmupNS-t0.WarmupNS)/1000 /*ns→µs*/) / 1e3,
+			MeasuredMS:   float64((t1.MeasuredNS-t0.MeasuredNS)/1000) / 1e3,
+			CoreUtil:     coreUtil(t1.WarmupNS-t0.WarmupNS+t1.MeasuredNS-t0.MeasuredNS, wall, env.Parallelism),
+			RefsPerHostS: float64(t1.Refs-t0.Refs) / wall.Seconds(),
 		})
 		return r
 	}
@@ -184,6 +185,7 @@ func main() {
 	}
 	if *jsonOut != "" {
 		doc.TotalWallMS = float64(time.Since(start).Microseconds()) / 1e3
+		doc.PeakRSSMB = peakRSSMB()
 		if err := writeBenchDoc(*jsonOut, &doc); err != nil {
 			fatal(err)
 		}
@@ -207,6 +209,9 @@ type benchDoc struct {
 	Figures     []benchEntry `json:"figures,omitempty"`
 	Ablations   []benchEntry `json:"ablations,omitempty"`
 	TotalWallMS float64      `json:"total_wall_ms"`
+	// PeakRSSMB is the process's resident-set high-water mark (VmHWM), 0
+	// where /proc is absent.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
 type benchEntry struct {
@@ -218,21 +223,24 @@ type benchEntry struct {
 	// from a warm-state checkpoint, and where the host wall-clock went.
 	// CoreUtil is how busy the env's run pool kept its workers: the runs'
 	// summed host wall time over the entry's wall time × Parallelism.
-	Runs       int                  `json:"runs"`
-	Restored   int                  `json:"restored"`
-	WarmupMS   float64              `json:"warmup_ms"`
-	MeasuredMS float64              `json:"measured_ms"`
-	CoreUtil   float64              `json:"core_util"`
-	Result     *dssmem.FigureResult `json:"result"`
+	// RefsPerHostS is the simulated loads + stores over the entry's wall time.
+	Runs         int                  `json:"runs"`
+	Restored     int                  `json:"restored"`
+	WarmupMS     float64              `json:"warmup_ms"`
+	MeasuredMS   float64              `json:"measured_ms"`
+	CoreUtil     float64              `json:"core_util"`
+	RefsPerHostS float64              `json:"refs_per_host_s"`
+	Result       *dssmem.FigureResult `json:"result"`
 }
 
 // runSplit is the tally delta attributed to one figure/ablation entry.
 type runSplit struct {
-	Runs       int
-	Restored   int
-	WarmupMS   float64
-	MeasuredMS float64
-	CoreUtil   float64
+	Runs         int
+	Restored     int
+	WarmupMS     float64
+	MeasuredMS   float64
+	CoreUtil     float64
+	RefsPerHostS float64
 }
 
 // coreUtil is Σ run wall ÷ (entry wall × parallelism), 0 when nothing ran.
@@ -246,14 +254,15 @@ func coreUtil(runNS int64, wall time.Duration, parallelism int) float64 {
 // add records a completed figure or ablation with its timing.
 func (d *benchDoc) add(r *dssmem.FigureResult, wall time.Duration, split runSplit) {
 	e := benchEntry{
-		ID:         r.ID,
-		WallMS:     float64(wall.Microseconds()) / 1e3,
-		Runs:       split.Runs,
-		Restored:   split.Restored,
-		WarmupMS:   split.WarmupMS,
-		MeasuredMS: split.MeasuredMS,
-		CoreUtil:   split.CoreUtil,
-		Result:     r,
+		ID:           r.ID,
+		WallMS:       float64(wall.Microseconds()) / 1e3,
+		Runs:         split.Runs,
+		Restored:     split.Restored,
+		WarmupMS:     split.WarmupMS,
+		MeasuredMS:   split.MeasuredMS,
+		CoreUtil:     split.CoreUtil,
+		RefsPerHostS: split.RefsPerHostS,
+		Result:       r,
 	}
 	for _, s := range r.Series {
 		for _, p := range s.Points {
@@ -267,6 +276,25 @@ func (d *benchDoc) add(r *dssmem.FigureResult, wall time.Duration, split runSpli
 	} else {
 		d.Ablations = append(d.Ablations, e)
 	}
+}
+
+// peakRSSMB is the process's resident-set high-water mark in MiB (VmHWM in
+// /proc/self/status), 0 where that file is absent or unreadable.
+func peakRSSMB() float64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(v), "kB")), 64)
+			if err != nil {
+				return 0
+			}
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 func writeBenchDoc(path string, doc *benchDoc) error {

@@ -128,6 +128,14 @@ func main() {
 	}
 	fmt.Printf("warmup          %.1f ms (%s)\n", float64(st.WarmupHostNS)/1e6, state)
 	fmt.Printf("measured        %.1f ms\n", float64(st.MeasuredHostNS)/1e6)
+	var refs uint64
+	for _, p := range st.Procs {
+		refs += p.Counters.Loads + p.Counters.Stores
+	}
+	if st.MeasuredHostNS > 0 {
+		fmt.Printf("sim refs/host s %.4g (loads + stores over measured host time)\n",
+			float64(refs)/(float64(st.MeasuredHostNS)/1e9))
+	}
 	if len(st.Sampling) > 0 {
 		fmt.Printf("\n-- sampling (P=%d) --\n", *sampleQuanta)
 		for i, e := range st.Sampling {

@@ -77,8 +77,11 @@ type (
 	// half-widths of the key per-window rates.
 	SampleEstimate = obs.SampleEstimate
 	// RunTally accumulates host-side run accounting (runs, checkpoint
-	// restores, warmup vs measured wall time) across an Env's measurements.
+	// restores, warmup vs measured wall time, simulated references) across
+	// an Env's measurements.
 	RunTally = experiments.RunTally
+	// TallyTotals are a RunTally's running totals (RunTally.Snapshot).
+	TallyTotals = experiments.TallyTotals
 )
 
 // The three queries the paper studies, plus the Q1 extension.

@@ -108,6 +108,7 @@ type Cache struct {
 	ways      []way // sets*assoc, set-major
 	assoc     int
 	tick      uint64
+	victims   []Victim // FlushFraction's result buffer
 	Stats     Stats
 }
 
@@ -269,7 +270,8 @@ func (c *Cache) Downgrade(line uint64) State {
 // FlushFraction invalidates roughly frac of the valid lines (deterministically,
 // by walking ways with a stride) to model the cache pollution caused by a
 // context switch running kernel/scheduler code. Victims (with their states,
-// so the caller can write back dirty ones and fix the directory) are returned.
+// so the caller can write back dirty ones and fix the directory) are returned
+// in a buffer the cache reuses: it stays valid until the next call.
 func (c *Cache) FlushFraction(frac float64) []Victim {
 	if frac <= 0 {
 		return nil
@@ -278,7 +280,7 @@ func (c *Cache) FlushFraction(frac float64) []Victim {
 	if stride < 1 {
 		stride = 1
 	}
-	var victims []Victim
+	victims := c.victims[:0]
 	for i := 0; i < len(c.ways); i += stride {
 		w := &c.ways[i]
 		if w.state != Invalid {
@@ -290,6 +292,7 @@ func (c *Cache) FlushFraction(frac float64) []Victim {
 			w.state = Invalid
 		}
 	}
+	c.victims = victims
 	return victims
 }
 

@@ -151,6 +151,28 @@ func TestFlushFraction(t *testing.T) {
 	}
 }
 
+// TestFlushFractionAllocFree: after the first flush sizes the victim buffer,
+// a context-switch flush of a refilled cache allocates nothing.
+func TestFlushFractionAllocFree(t *testing.T) {
+	c := New(Config{Name: "t", Size: 4096, LineSize: 32, Assoc: 4})
+	refill := func() {
+		for i := uint64(0); i < 128; i++ {
+			c.Insert(i, Modified)
+		}
+	}
+	refill()
+	want := len(c.FlushFraction(0.25))
+	allocs := testing.AllocsPerRun(100, func() {
+		refill()
+		if got := len(c.FlushFraction(0.25)); got != want {
+			t.Fatalf("flush returned %d victims, want %d", got, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FlushFraction allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func TestLineOf(t *testing.T) {
 	c := small()
 	if c.LineOf(0) != 0 || c.LineOf(31) != 0 || c.LineOf(32) != 1 {

@@ -2,10 +2,8 @@ package coherence
 
 import "testing"
 
-// TestDirectoryMissAllocFree: once a line's directory entry exists (slab
-// handle in the sparse map), further misses on it — read, write, upgrade,
-// evict — must not allocate. This is the guarantee that replaced the old
-// per-line *entry heap allocation with the chunked slab.
+// TestDirectoryMissAllocFree: once a line's directory chunk exists, further
+// misses on it — read, write, upgrade, evict — must not allocate.
 func TestDirectoryMissAllocFree(t *testing.T) {
 	d, caches := testRig(4, baseParams)
 	const lines = 512
@@ -33,7 +31,7 @@ func TestDirectoryMissAllocFree(t *testing.T) {
 }
 
 // TestPreviewAllocFree: the bound-phase previews must never allocate — they
-// run concurrently on the hot path and may not touch the sparse map beyond a
+// run concurrently on the hot path and may not touch the chunk index beyond a
 // read (unknown lines resolve to the shared zero entry).
 func TestPreviewAllocFree(t *testing.T) {
 	d, _ := testRig(4, baseParams)

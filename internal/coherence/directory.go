@@ -162,43 +162,23 @@ type Directory struct {
 	caches    []CoherentCache        // per-CPU hierarchy views
 	lineShift uint
 
-	dense   []entry          // lines of the shared region, index = line number
-	sparse  map[uint64]int32 // private-region lines: handle into slab
-	slab    entrySlab
+	shared  []*chunk          // shared-region chunks, index = line >> chunkBits
+	private map[uint64]*chunk // private-region chunks, key = line >> chunkBits
 	Stats   Stats
 	ByCache []PerCache
 	Hooks   Hooks
 }
 
-// entrySlab is a chunked arena of directory entries for the sparse (private)
-// region. Entries are addressed by int32 handles; chunks never move once
-// allocated, so handles stay valid across growth and the per-line heap
-// allocation of the old map[uint64]*entry representation disappears — the
-// only steady-state cost of a new private line is a map insert and, once per
-// slabChunkSize lines, one chunk allocation.
-type entrySlab struct {
-	chunks [][]entry
-}
-
+// Directory entries live in fixed chunks of chunkSize consecutive lines,
+// each allocated on the first entryFor that reaches it, so a run's host
+// memory follows the lines it touches rather than the whole shared region.
+// Chunks never move, so entry pointers stay valid as the store grows.
 const (
-	slabChunkBits = 12 // 4096 entries (~256 KB) per chunk
-	slabChunkSize = 1 << slabChunkBits
+	chunkBits = 10 // 1,024 entries (32 KiB) per chunk
+	chunkSize = 1 << chunkBits
 )
 
-func (s *entrySlab) alloc() int32 {
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == slabChunkSize {
-		s.chunks = append(s.chunks, make([]entry, 0, slabChunkSize))
-		n++
-	}
-	c := &s.chunks[n-1]
-	*c = append(*c, entry{})
-	return int32((n-1)<<slabChunkBits | (len(*c) - 1))
-}
-
-func (s *entrySlab) at(i int32) *entry {
-	return &s.chunks[i>>slabChunkBits][i&(slabChunkSize-1)]
-}
+type chunk [chunkSize]entry
 
 // Config assembles a Directory.
 type Config struct {
@@ -208,8 +188,8 @@ type Config struct {
 	NodeOf    []int           // node of each cache
 	Caches    []CoherentCache // per-CPU coherent hierarchy views (index = CacheID)
 	LineSize  int             // protocol granularity = outermost line size
-	// SharedLimit bounds the shared-region bytes tracked densely; lines above
-	// it (private regions) fall back to a map.
+	// SharedLimit bounds the shared-region bytes whose chunks are indexed by
+	// a slice; chunks of lines above it (private regions) live in a map.
 	SharedLimit uint64
 	// MemOccupancy is the per-request occupancy of each home memory/directory
 	// controller, the source of queueing contention.
@@ -240,8 +220,8 @@ func NewDirectory(cfg Config) *Directory {
 		mem:       mem,
 		caches:    cfg.Caches,
 		lineShift: ls,
-		dense:     make([]entry, cfg.SharedLimit>>ls+1),
-		sparse:    make(map[uint64]int32),
+		shared:    make([]*chunk, (cfg.SharedLimit>>ls)>>chunkBits+1),
+		private:   make(map[uint64]*chunk),
 		ByCache:   make([]PerCache, len(cfg.Caches)),
 	}
 }
@@ -253,31 +233,37 @@ func (d *Directory) LineOf(addr memsys.Addr) uint64 { return uint64(addr) >> d.l
 func (d *Directory) MemServers() []*interconnect.Server { return d.mem }
 
 func (d *Directory) entryFor(line uint64) *entry {
-	if line < uint64(len(d.dense)) {
-		return &d.dense[line]
+	ch := d.peekChunk(line)
+	if ch == nil {
+		ch = new(chunk)
+		if k := line >> chunkBits; k < uint64(len(d.shared)) {
+			d.shared[k] = ch
+		} else {
+			d.private[k] = ch
+		}
 	}
-	if i, ok := d.sparse[line]; ok {
-		return d.slab.at(i)
+	return &ch[line&(chunkSize-1)]
+}
+
+// peekChunk returns the chunk holding line, nil if none was allocated yet.
+func (d *Directory) peekChunk(line uint64) *chunk {
+	if k := line >> chunkBits; k < uint64(len(d.shared)) {
+		return d.shared[k]
 	}
-	i := d.slab.alloc()
-	d.sparse[line] = i
-	return d.slab.at(i)
+	return d.private[line>>chunkBits]
 }
 
 // zeroEntry is the immutable image of a line the directory has never seen.
-// peek hands it out for unknown lines so read-only paths allocate nothing;
-// it must never be written through.
+// peek hands it out for lines of unallocated chunks so read-only paths
+// allocate nothing; it must never be written through.
 var zeroEntry entry
 
 // peek returns the entry for line without creating one. Unlike entryFor it is
 // safe to call concurrently with other readers (the parallel bound phase),
-// because it never mutates the sparse index.
+// because it never mutates the chunk index.
 func (d *Directory) peek(line uint64) *entry {
-	if line < uint64(len(d.dense)) {
-		return &d.dense[line]
-	}
-	if i, ok := d.sparse[line]; ok {
-		return d.slab.at(i)
+	if ch := d.peekChunk(line); ch != nil {
+		return &ch[line&(chunkSize-1)]
 	}
 	return &zeroEntry
 }

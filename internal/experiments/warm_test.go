@@ -39,9 +39,9 @@ func TestWarmRestoreByteIdentical(t *testing.T) {
 		}
 	}
 
-	runs, restored, _, _ := warm.Tally.Snapshot()
-	if runs == 0 || restored != runs {
-		t.Fatalf("want every run restored from checkpoint, got %d of %d", restored, runs)
+	tot := warm.Tally.Snapshot()
+	if tot.Runs == 0 || tot.Restored != tot.Runs {
+		t.Fatalf("want every run restored from checkpoint, got %d of %d", tot.Restored, tot.Runs)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 //
 //   - L1 (and L2) hits: pure cache bookkeeping, no directory involvement;
 //   - outer-level misses on already-materialized directory entries: the
-//     slab-backed sparse map must serve steady-state capacity misses without
+//     chunked entry store must serve steady-state capacity misses without
 //     allocating.
 func TestAccessHotPathAllocFree(t *testing.T) {
 	m := New(OriginSpec(4, 64))

@@ -36,6 +36,11 @@ type SamplingController struct {
 }
 
 type samplingCPU struct {
+	// [qStart, qEnd) bounds the quantum of the last access and phase is its
+	// position in the period, so Access divides only when now leaves it.
+	qStart, qEnd uint64
+	phase        uint64
+
 	measuring bool
 	winStart  perfctr.Counters
 	windows   []perfctr.Counters // measured-window counter deltas
@@ -80,20 +85,10 @@ func (c *SamplingController) Period() int { return int(c.period) }
 // then reports the detailed cost via Detailed.
 func (c *SamplingController) Access(cpu int, ct *perfctr.Counters, write bool, now uint64) (uint64, bool) {
 	s := &c.cpus[cpu]
-	idx := (now / c.quantum) % c.period
-	measured := idx == 0
-	if measured != s.measuring {
-		if measured {
-			s.winStart = *ct
-		} else {
-			w := ct.Sub(&s.winStart)
-			if w.Instructions > 0 {
-				s.windows = append(s.windows, w)
-			}
-		}
-		s.measuring = measured
+	if now < s.qStart || now >= s.qEnd {
+		c.enterQuantum(s, ct, now)
 	}
-	if measured || idx == c.period-1 {
+	if s.measuring || s.phase == c.period-1 {
 		return 0, false
 	}
 	ct.Instructions++
@@ -112,6 +107,27 @@ func (c *SamplingController) Access(cpu int, ct *perfctr.Counters, write bool, n
 	return cyc, true
 }
 
+// enterQuantum moves s to the quantum holding now, opening or closing a
+// measured window when the period position changes measurement mode.
+func (c *SamplingController) enterQuantum(s *samplingCPU, ct *perfctr.Counters, now uint64) {
+	q := now / c.quantum
+	s.qStart = q * c.quantum
+	s.qEnd = s.qStart + c.quantum // wraps only in the clock's last quantum, which then never caches
+	s.phase = q % c.period
+	measured := s.phase == 0
+	if measured != s.measuring {
+		if measured {
+			s.winStart = *ct
+		} else {
+			w := ct.Sub(&s.winStart)
+			if w.Instructions > 0 {
+				s.windows = append(s.windows, w)
+			}
+		}
+		s.measuring = measured
+	}
+}
+
 // Detailed feeds the cost of one detailed-mode access into the per-CPU
 // cycles-per-access estimate the fast-forward path charges.
 func (c *SamplingController) Detailed(cpu int, cycles uint64) {
@@ -125,6 +141,7 @@ func (s *samplingCPU) closeWindow(ct *perfctr.Counters) {
 		return
 	}
 	s.measuring = false
+	s.qStart, s.qEnd = 0, 0 // a later access re-enters its quantum
 	w := ct.Sub(&s.winStart)
 	if w.Instructions > 0 {
 		s.windows = append(s.windows, w)

@@ -109,13 +109,16 @@ type Supplier struct {
 	NationKey int32
 }
 
-// Data is a generated database image.
+// Data is a generated database image. It must not change once RefDigest
+// has been called.
 type Data struct {
 	SF        float64
 	Lineitem  []LineItem
 	Orders    []Order
 	Suppliers []Supplier
 	Nations   []int32 // region of each nation
+
+	refs [Q1 + 1]refDigest // memoised reference answers, one per QueryID
 }
 
 // rng is a splitmix64 generator: deterministic across runs and platforms.
@@ -160,6 +163,9 @@ func Generate(sf float64, seed uint64) *Data {
 
 	maxOrderDate := int(Date(1998, 8, 2)) - 121 - 30
 	d.Orders = make([]Order, nOrders)
+	// Each order has 1–7 lines, 4 on average; a quarter order's slack covers
+	// the spread, so the slice is allocated once instead of grown by append.
+	d.Lineitem = make([]LineItem, 0, nOrders*4+nOrders/4)
 	for i := 0; i < nOrders; i++ {
 		orderKey := int64(i + 1)
 		orderDate := int32(r.intn(maxOrderDate))

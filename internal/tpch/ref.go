@@ -1,6 +1,9 @@
 package tpch
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // This file holds brute-force reference implementations of the three queries,
 // computed directly over the generated rows. Tests compare the DBMS results
@@ -135,4 +138,19 @@ func Ref(q QueryID, d *Data) *Result {
 		return RefQ1(d)
 	}
 	panic("tpch: unknown query")
+}
+
+// refDigest is one query's memoised reference digest; the zero value is
+// ready, so generating a dataset costs nothing extra.
+type refDigest struct {
+	once   sync.Once
+	digest uint64
+}
+
+// RefDigest returns Ref(q, d).Digest(), computed once per dataset and query:
+// every run of a figure shares one dataset. Safe for concurrent use.
+func (d *Data) RefDigest(q QueryID) uint64 {
+	r := &d.refs[q]
+	r.once.Do(func() { r.digest = Ref(q, d).Digest() })
+	return r.digest
 }

@@ -279,16 +279,9 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	}
 
 	if opts.Validate {
-		wants := map[tpch.QueryID]uint64{}
 		for i, r := range results {
-			q := queryOf(i)
-			want, ok := wants[q]
-			if !ok {
-				want = tpch.Ref(q, opts.Data).Digest()
-				wants[q] = want
-			}
-			if r == nil || r.Digest() != want {
-				return nil, fmt.Errorf("workload: process %d returned a wrong %v answer", i, q)
+			if err := checkAnswer(opts.Data, i, queryOf(i), r); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -333,6 +326,15 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		}
 	}
 	return st, nil
+}
+
+// checkAnswer compares process i's result for q against the dataset's
+// reference answer.
+func checkAnswer(data *tpch.Data, i int, q tpch.QueryID, r *tpch.Result) error {
+	if r == nil || r.Digest() != data.RefDigest(q) {
+		return fmt.Errorf("workload: process %d returned a wrong %v answer", i, q)
+	}
+	return nil
 }
 
 // engineConfig derives the engine configuration from opts. It is the single

@@ -250,3 +250,28 @@ func TestColdRunPaysIO(t *testing.T) {
 		t.Fatalf("thread time should not balloon with I/O: ratio %.2f", ratio)
 	}
 }
+
+// TestCheckAnswerRejectsTampering: the reference answer passes the check; a
+// missing result, or one with a single value changed, fails it.
+func TestCheckAnswerRejectsTampering(t *testing.T) {
+	tamper := map[tpch.QueryID]func(r *tpch.Result){
+		tpch.Q6:  func(r *tpch.Result) { r.Revenue++ },
+		tpch.Q21: func(r *tpch.Result) { r.Q21[len(r.Q21)-1].NumWait++ },
+		tpch.Q12: func(r *tpch.Result) { r.Q12[0].LowCount++ },
+		tpch.Q1:  func(r *tpch.Result) { r.Q1[0].Count++ },
+	}
+	for q, edit := range tamper {
+		r := tpch.Ref(q, testData)
+		if err := checkAnswer(testData, 3, q, r); err != nil {
+			t.Fatalf("%v: reference answer rejected: %v", q, err)
+		}
+		edit(r)
+		err := checkAnswer(testData, 3, q, r)
+		if err == nil || !strings.Contains(err.Error(), "process 3") || !strings.Contains(err.Error(), q.String()) {
+			t.Fatalf("%v: tampered answer: err = %v", q, err)
+		}
+		if err := checkAnswer(testData, 0, q, nil); err == nil {
+			t.Fatalf("%v: missing answer accepted", q)
+		}
+	}
+}

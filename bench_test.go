@@ -268,14 +268,8 @@ func BenchmarkSimKernelHandoff8(b *testing.B) {
 }
 
 // BenchmarkSingleRun8 measures the 8-process configuration (the paper's most
-// contended point) under the serial scheduler; BenchmarkSingleRun8Parallel is
-// the same work under bound–weave. Their ratio is the in-simulation parallel
-// speedup at the host's GOMAXPROCS — compare with GOMAXPROCS=1 to isolate
-// the mode's coordination overhead from real parallelism.
-func BenchmarkSingleRun8(b *testing.B)         { benchSingleRun8(b, false) }
-func BenchmarkSingleRun8Parallel(b *testing.B) { benchSingleRun8(b, true) }
-
-func benchSingleRun8(b *testing.B, parallel bool) {
+// contended point).
+func BenchmarkSingleRun8(b *testing.B) {
 	data := smallData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,7 +279,6 @@ func benchSingleRun8(b *testing.B, parallel bool) {
 			Query:       tpch.Q6,
 			Processes:   8,
 			OSTimeScale: 64,
-			Parallel:    parallel,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -293,42 +286,21 @@ func benchSingleRun8(b *testing.B, parallel bool) {
 	}
 }
 
-// --- warm-state checkpoints and interval sampling (DESIGN.md §15) ---
+// --- the warmup prelude and interval sampling (DESIGN.md §15) ---
 
-// BenchmarkColdPrelude measures the warmup prelude every cold run pays before
-// its measured region: engine open plus the TPC-H bulk load, at the small
-// preset. BenchmarkWarmRestore is the same state reached via a checkpoint.
+// BenchmarkColdPrelude measures the warmup prelude every run pays before its
+// measured region: engine open plus the TPC-H bulk load, at the small preset.
 func BenchmarkColdPrelude(b *testing.B) {
 	data := smallData()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.CaptureWarm(workload.Options{Data: data}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWarmRestore measures rebuilding the warm state from a captured
-// image (engine.FromImage) instead of re-running the prelude. The checkpoint
-// acceptance bar is this beating BenchmarkColdPrelude by at least 3x.
-func BenchmarkWarmRestore(b *testing.B) {
-	data := smallData()
-	img, err := workload.CaptureWarm(workload.Options{Data: data})
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := engine.Config{PoolPages: tpch.PoolPagesFor(data)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.FromImage(img, cfg); err != nil {
-			b.Fatal(err)
-		}
+		tpch.Load(engine.Open(cfg), data)
 	}
 }
 
-// benchSampledFigure regenerates one figure per iteration on the fast path
-// dssbench -ckpt -sample-quanta takes: warm-state checkpoints on (one capture,
-// fourteen restores per figure) and SMARTS interval sampling at the gate's
+// benchSampledFigure regenerates one figure per iteration on the path
+// dssbench -sample-quanta takes: SMARTS interval sampling at the gate's
 // default period. The reported metric is the sampled estimate of the same
 // headline number the exact benchmark reports, so the exact-vs-sampled pair
 // shows both the speedup and the estimation error side by side.
@@ -338,7 +310,6 @@ func benchSampledFigure(b *testing.B, id int, metric func(*experiments.Result) (
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env := experiments.NewEnvWith(experiments.Small, smallData())
-		env.Checkpoints = true
 		env.SampleQuanta = experiments.DefaultSamplingQuanta
 		r, err := experiments.RunFigure(env, id, nil)
 		if err != nil {
@@ -352,7 +323,7 @@ func benchSampledFigure(b *testing.B, id int, metric func(*experiments.Result) (
 	}
 }
 
-// BenchmarkSampledFig5 is BenchmarkFig5 under checkpoints + sampling.
+// BenchmarkSampledFig5 is BenchmarkFig5 under sampling.
 func BenchmarkSampledFig5(b *testing.B) {
 	benchSampledFigure(b, 5, func(r *experiments.Result) (string, float64) {
 		if p := point(r, "Q6", 8); p != nil {
@@ -362,7 +333,7 @@ func BenchmarkSampledFig5(b *testing.B) {
 	})
 }
 
-// BenchmarkSampledFig9 is BenchmarkFig9 under checkpoints + sampling.
+// BenchmarkSampledFig9 is BenchmarkFig9 under sampling.
 func BenchmarkSampledFig9(b *testing.B) {
 	benchSampledFigure(b, 9, func(r *experiments.Result) (string, float64) {
 		if p := point(r, "Q6", 2); p != nil {

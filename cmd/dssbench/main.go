@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"dssmem"
-	"dssmem/internal/rescache"
 	"dssmem/internal/telemetry"
 )
 
@@ -46,8 +45,6 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv or json")
 	jsonOut := flag.String("json", "", "also write a machine-readable benchmark document (figures, ablations, wall/sim timing) to this file ('-' = stdout)")
 	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures")
-	parallel := flag.Bool("parallel", false, "run simulations in bound–weave parallel mode (deterministic; see DESIGN.md §11). Observed runs stay serial")
-	parWindow := flag.Uint64("parallel-window", 0, "bound–weave window in cycles (0 = scheduling quantum)")
 	list := flag.Bool("list", false, "list available figures and ablations")
 	sample := flag.Uint64("sample", 0, "observed run: sample counters every N simulated cycles")
 	sampleOut := flag.String("sample-out", "", "observed run: write sampled windows to this file (.json = JSON, else CSV)")
@@ -56,8 +53,6 @@ func main() {
 	query := flag.String("query", "Q6", "observed run: query (Q6, Q21, Q12)")
 	mach := flag.String("machine", "vclass", "observed run: machine (vclass or origin)")
 	procs := flag.Int("procs", 4, "observed run: number of parallel query processes")
-	ckpt := flag.Bool("ckpt", false, "restore the warmup prelude from warm-state checkpoints (captured once per dataset identity)")
-	ckptDir := flag.String("ckpt-dir", "", "persist results and warm-state checkpoints in this directory (implies -ckpt)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact; estimates, cached under their own digests)")
 	flag.Parse()
 
@@ -86,19 +81,9 @@ func main() {
 	}
 	start := time.Now()
 	env := dssmem.NewEnv(p)
-	env.Parallel = *parallel
-	env.ParallelWindow = *parWindow
-	env.Checkpoints = *ckpt || *ckptDir != ""
 	env.SampleQuanta = *sampleQuanta
 	tally := &dssmem.RunTally{}
 	env.Tally = tally
-	if *ckptDir != "" {
-		store, err := rescache.Open(*ckptDir)
-		if err != nil {
-			fatal(err)
-		}
-		env.Results = store
-	}
 	if *format == "table" {
 		fmt.Printf("preset %s: SF=%.4f memScale=%d — %d lineitems, %d orders (%.1f MB raw)\n\n",
 			p.Name, p.SF, p.MemScale, len(env.Data.Lineitem), len(env.Data.Orders),
@@ -158,7 +143,6 @@ func main() {
 		t1 := tally.Snapshot()
 		doc.add(r, wall, runSplit{
 			Runs:         t1.Runs - t0.Runs,
-			Restored:     t1.Restored - t0.Restored,
 			WarmupMS:     float64((t1.WarmupNS-t0.WarmupNS)/1000 /*ns→µs*/) / 1e3,
 			MeasuredMS:   float64((t1.MeasuredNS-t0.MeasuredNS)/1000) / 1e3,
 			CoreUtil:     coreUtil(t1.WarmupNS-t0.WarmupNS+t1.MeasuredNS-t0.MeasuredNS, wall, env.Parallelism),
@@ -219,13 +203,11 @@ type benchEntry struct {
 	WallMS        float64 `json:"wall_ms"`
 	SimSecondsMax float64 `json:"sim_seconds_max,omitempty"`
 	// The per-run host-time split: simulations executed for this entry (cache
-	// hits excluded — nothing ran), how many restored their warmup prelude
-	// from a warm-state checkpoint, and where the host wall-clock went.
+	// hits excluded — nothing ran) and where the host wall-clock went.
 	// CoreUtil is how busy the env's run pool kept its workers: the runs'
 	// summed host wall time over the entry's wall time × Parallelism.
 	// RefsPerHostS is the simulated loads + stores over the entry's wall time.
 	Runs         int                  `json:"runs"`
-	Restored     int                  `json:"restored"`
 	WarmupMS     float64              `json:"warmup_ms"`
 	MeasuredMS   float64              `json:"measured_ms"`
 	CoreUtil     float64              `json:"core_util"`
@@ -236,7 +218,6 @@ type benchEntry struct {
 // runSplit is the tally delta attributed to one figure/ablation entry.
 type runSplit struct {
 	Runs         int
-	Restored     int
 	WarmupMS     float64
 	MeasuredMS   float64
 	CoreUtil     float64
@@ -257,7 +238,6 @@ func (d *benchDoc) add(r *dssmem.FigureResult, wall time.Duration, split runSpli
 		ID:           r.ID,
 		WallMS:       float64(wall.Microseconds()) / 1e3,
 		Runs:         split.Runs,
-		Restored:     split.Restored,
 		WarmupMS:     split.WarmupMS,
 		MeasuredMS:   split.MeasuredMS,
 		CoreUtil:     split.CoreUtil,

@@ -119,7 +119,6 @@ func main() {
 	joinURL := flag.String("join", "", "worker: coordinator base URL to join and heartbeat (e.g. http://localhost:8077)")
 	name := flag.String("name", "", "worker: stable fleet name sent with -join ('' = hostname)")
 	advertise := flag.String("advertise", "", "worker: base URL peers reach this worker at, sent with -join ('' = derive from -addr)")
-	ckpt := flag.Bool("ckpt", false, "restore warmup preludes from warm-state checkpoints (captured once, cached under the warmstate namespace, shared with fleet peers)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "default SMARTS sampling period for requests without sample_quanta (0/1 = exact)")
 	flag.Parse()
 
@@ -199,7 +198,6 @@ func main() {
 			HardDeadline:   *hardDeadline,
 			Log:            logger,
 			RecentRequests: *recentReqs,
-			Checkpoints:    *ckpt,
 			SampleQuanta:   *sampleQuanta,
 		}
 		var inj *fault.Injector

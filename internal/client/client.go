@@ -314,10 +314,6 @@ type MeasureOpt struct {
 	// SampleQuanta > 1 requests SMARTS interval sampling at that period; the
 	// server returns an estimated measurement cached under its own digest.
 	SampleQuanta int
-	// Checkpoint asks the daemon to restore the warmup prelude from a
-	// warm-state checkpoint (capturing one if needed). Response bytes are
-	// identical either way; only server-side latency changes.
-	Checkpoint bool
 }
 
 // MeasurePath renders the /v1/measure request path for a configuration —
@@ -335,9 +331,6 @@ func MeasurePath(machineName, query string, procs int, o MeasureOpt) string {
 	}
 	if o.SampleQuanta > 1 {
 		v.Set("sample_quanta", strconv.Itoa(o.SampleQuanta))
-	}
-	if o.Checkpoint {
-		v.Set("ckpt", "1")
 	}
 	return "/v1/measure?" + v.Encode()
 }

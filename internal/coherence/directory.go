@@ -253,21 +253,6 @@ func (d *Directory) peekChunk(line uint64) *chunk {
 	return d.private[line>>chunkBits]
 }
 
-// zeroEntry is the immutable image of a line the directory has never seen.
-// peek hands it out for lines of unallocated chunks so read-only paths
-// allocate nothing; it must never be written through.
-var zeroEntry entry
-
-// peek returns the entry for line without creating one. Unlike entryFor it is
-// safe to call concurrently with other readers (the parallel bound phase),
-// because it never mutates the chunk index.
-func (d *Directory) peek(line uint64) *entry {
-	if ch := d.peekChunk(line); ch != nil {
-		return &ch[line&(chunkSize-1)]
-	}
-	return &zeroEntry
-}
-
 func (d *Directory) homeOf(line uint64) int {
 	return d.placement.Home(memsys.Addr(line << d.lineShift))
 }

@@ -18,36 +18,6 @@ func (d *Directory) chunksAllocated() int {
 	return n
 }
 
-// TestPeekUntouchedIsZeroAllocFree: peek on a line whose chunk was never
-// reached returns the shared zero entry and allocates nothing, in the shared
-// and the private region alike.
-func TestPeekUntouchedIsZeroAllocFree(t *testing.T) {
-	d, _ := testRig(2, baseParams)
-	d.Read(0, 3, 0) // one chunk exists; the probes below miss it
-	lines := []uint64{
-		chunkSize + 5,
-		(1<<20)>>5 - 1,
-		uint64(memsys.PrivateBase(0)) >> 5,
-		uint64(memsys.PrivateBase(3))>>5 + chunkSize,
-	}
-	for _, l := range lines {
-		if e := d.peek(l); e != &zeroEntry {
-			t.Fatalf("peek(%d) = %+v, want the zero entry", l, *e)
-		}
-	}
-	var i int
-	allocs := testing.AllocsPerRun(1000, func() {
-		_ = d.peek(lines[i%len(lines)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("peek allocates %.1f objects/op, want 0", allocs)
-	}
-	if n := d.chunksAllocated(); n != 1 {
-		t.Fatalf("peek materialized chunks: %d allocated, want 1", n)
-	}
-}
-
 // TestEntryStateAcrossChunkEdges drives the same protocol sequence through
 // lines at chunk and region edges, interleaved so that any aliasing between
 // their entries would show: both sides of a chunk boundary, the last line
@@ -98,14 +68,14 @@ func TestEntryStateAcrossChunkEdges(t *testing.T) {
 				t.Fatalf("step %d line %d: result %+v, want %+v", si, l, r, want)
 			}
 		}
-		ref := *d.peek(lines[0])
+		ref := *d.entryFor(lines[0])
 		for _, l := range lines[1:] {
-			if e := *d.peek(l); e != ref {
+			if e := *d.entryFor(l); e != ref {
 				t.Fatalf("step %d line %d: entry %+v, want %+v", si, l, e, ref)
 			}
 		}
 	}
-	e := d.peek(lines[0])
+	e := d.entryFor(lines[0])
 	if e.state != dirUncached || e.ever != 0b11 || !e.migratory {
 		t.Fatalf("final entry %+v: want uncached, seen by both caches, migratory", *e)
 	}

@@ -85,16 +85,3 @@ func (c *Catalog) Lookup(m storage.Mem, name string) *Relation {
 
 // Relations returns the number of registered relations.
 func (c *Catalog) Relations() int { return len(c.rels) }
-
-// All returns every relation in creation (ID) order. Create assigns IDs and
-// metadata addresses sequentially, so rebuilding relations in this order
-// reproduces identical MetaAddrs — what checkpoint restore relies on.
-func (c *Catalog) All() []*Relation {
-	out := make([]*Relation, 0, len(c.byID))
-	for id := 1; id <= c.next; id++ {
-		if r := c.byID[id]; r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -116,7 +116,7 @@ type TID struct {
 //
 // The simulated address range covers the full capacity, but the host bytes
 // behind it come in fixed chunks of chunkPages pages, each allocated when
-// AllocPage (or Restore) first reaches it. A pool sized with headroom thus
+// AllocPage first reaches it. A pool sized with headroom thus
 // costs host memory only for the pages in use; simulated addresses do not
 // depend on the chunking.
 type Pool struct {
@@ -180,45 +180,6 @@ func (p *Pool) AllocPage() int {
 // MarkPage tags page pg with its kind.
 func (p *Pool) MarkPage(pg int, kind PageKind) { p.kinds[pg] = kind }
 
-// UsedData returns a copy of the backing bytes of the allocated pages, in page
-// order (checkpoint capture). The caller owns the slice.
-func (p *Pool) UsedData() []byte {
-	out := make([]byte, p.used*PageSize)
-	for pg := 0; pg < p.used; pg++ {
-		copy(out[pg*PageSize:], p.PageBytes(pg))
-	}
-	return out
-}
-
-// UsedKinds returns the page-kind tags of the allocated pages (checkpoint
-// capture). The slice aliases the pool: the caller must not retain it across
-// further allocations.
-func (p *Pool) UsedKinds() []PageKind { return p.kinds[:p.used] }
-
-// Restore overwrites a freshly created pool with a captured page image:
-// len(data)/PageSize pages become allocated with the given kinds. It is the
-// checkpoint-restore counterpart of UsedData/UsedKinds and fails (never
-// panics) on any shape mismatch, so a decoded-but-inconsistent snapshot falls
-// back to a full rebuild.
-func (p *Pool) Restore(data []byte, kinds []PageKind) error {
-	if len(data)%PageSize != 0 {
-		return fmt.Errorf("storage: restore: %d bytes is not a whole number of pages", len(data))
-	}
-	n := len(data) / PageSize
-	if n != len(kinds) {
-		return fmt.Errorf("storage: restore: %d pages but %d kind tags", n, len(kinds))
-	}
-	if n > p.pages {
-		return fmt.Errorf("storage: restore: %d pages exceed pool capacity %d", n, p.pages)
-	}
-	for pg := 0; pg < n; pg++ {
-		copy(p.chunk(pg / chunkPages)[pg%chunkPages][:], data[pg*PageSize:])
-	}
-	copy(p.kinds, kinds)
-	p.used = n
-	return nil
-}
-
 // KindOf returns the page kind of pg (PageUnknown when out of range).
 func (p *Pool) KindOf(pg int) PageKind {
 	if pg < 0 || pg >= len(p.kinds) {
@@ -241,7 +202,7 @@ func (p *Pool) PageAddr(pg int) memsys.Addr {
 }
 
 // PageBytes returns the backing bytes of page pg, which must lie in a chunk
-// already reached by AllocPage or Restore (every allocated page does).
+// already reached by AllocPage (every allocated page does).
 func (p *Pool) PageBytes(pg int) []byte {
 	return p.chunks[uint(pg)/chunkPages][uint(pg)%chunkPages][:]
 }
@@ -266,27 +227,6 @@ type Heap struct {
 // NewHeap creates an empty heap file in pool.
 func NewHeap(pool *Pool, schema *Schema) *Heap {
 	return &Heap{pool: pool, schema: schema}
-}
-
-// RestoreHeap rebuilds a heap over already-restored pool pages (checkpoint
-// restore). pages and count must describe exactly what a sequence of Appends
-// produced: every page allocated, count filling ceil(count/per) pages. Any
-// inconsistency is an error, never a panic.
-func RestoreHeap(pool *Pool, schema *Schema, pages []int, count int) (*Heap, error) {
-	per := schema.TuplesPerPage()
-	if count < 0 {
-		return nil, fmt.Errorf("storage: restore heap: negative tuple count %d", count)
-	}
-	want := (count + per - 1) / per
-	if want != len(pages) {
-		return nil, fmt.Errorf("storage: restore heap: %d tuples need %d pages, image has %d", count, want, len(pages))
-	}
-	for _, pg := range pages {
-		if pg < 0 || pg >= pool.Used() {
-			return nil, fmt.Errorf("storage: restore heap: page %d outside allocated pool [0,%d)", pg, pool.Used())
-		}
-	}
-	return &Heap{pool: pool, schema: schema, pages: append([]int(nil), pages...), count: count}, nil
 }
 
 // Schema returns the heap's tuple schema.

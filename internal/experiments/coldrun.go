@@ -25,8 +25,8 @@ func ColdRun(e *Env) (*Result, error) {
 		}
 		// The cold run goes through the same option canonicalization and
 		// runner as every cached measurement — one definition of the warmup
-		// prelude (workload's buildDB) serves warm runs, cold runs and
-		// checkpoint capture, so the variants cannot drift apart. ColdRun
+		// prelude (workload's buildDB) serves warm and cold runs, so the
+		// variants cannot drift apart. ColdRun
 		// itself stays uncached here only because this ablation wants the
 		// raw per-process stats, not the reduced measurement.
 		coldOpts := e.CanonicalOptions(q, 1, workload.Options{Spec: spec, ColdRun: true})

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"dssmem/internal/core"
-	"dssmem/internal/db/engine"
 	"dssmem/internal/machine"
 	"dssmem/internal/rescache"
 	"dssmem/internal/tpch"
@@ -85,27 +84,8 @@ type Env struct {
 	// per-run timeouts and records metrics; tests inject failures.
 	Runner func(context.Context, workload.Options) (*workload.Stats, error)
 
-	// Parallelism bounds concurrent simulations (each is single-threaded
-	// in serial mode; bound–weave runs additionally parallelize inside one
-	// simulation).
+	// Parallelism bounds concurrent simulations (each is single-threaded).
 	Parallelism int
-
-	// Parallel applies workload bound–weave execution to every measurement
-	// that does not set it explicitly (see workload.Options.Parallel). It
-	// changes the content digests: parallel measurements are cached under
-	// their own identity.
-	Parallel bool
-	// ParallelWindow is the default bound window in cycles (0 = quantum).
-	ParallelWindow uint64
-
-	// Checkpoints enables warm-state restore: before a (non-cold)
-	// measurement simulates, the env attaches the dataset's warm-state image
-	// — captured once, cached in Results under rescache.NSWarm, and memoized
-	// decoded — so the run skips the warmup prelude. Restored runs are
-	// byte-identical to cold-started ones, so checkpoints never change
-	// content digests; any checkpoint failure silently falls back to a full
-	// rebuild.
-	Checkpoints bool
 
 	// SampleQuanta, when > 1, applies SMARTS interval sampling (see
 	// workload.Options.SampleQuanta) to every measurement that does not set
@@ -114,14 +94,11 @@ type Env struct {
 	SampleQuanta int
 
 	// Tally, when non-nil, accumulates host-side run accounting (runs,
-	// restores, warmup vs measured wall time) across this env's
+	// warmup vs measured wall time, simulated references) across this env's
 	// measurements. Cache hits do not tally: nothing ran.
 	Tally *RunTally
 
 	initMu sync.Mutex // guards lazy Results init
-
-	warmMu   sync.Mutex                        // guards warmImgs
-	warmImgs map[rescache.Digest]*engine.Image // decoded warm images by ckpt key digest
 
 	// OnPoint, when non-nil, is called after each sweep point completes,
 	// with the point's index, process count, content digest, and whether it
@@ -198,9 +175,6 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 	opts.Data = nil
 	opts.Obs = nil
 	opts.SimFault = nil
-	// Warm state is not identity: a restored run is byte-identical to a
-	// cold-started one, so the same digest serves both.
-	opts.Warm = nil
 	opts.Query = q
 	opts.Processes = procs
 	opts.Validate = true
@@ -215,15 +189,6 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 		// detailed); normalize to exact so the digest matches the behavior.
 		opts.SampleQuanta = 0
 	}
-	if opts.SampleQuanta > 1 {
-		// Sampled runs execute serially (the controller is not weave-aware);
-		// keep the digest honest about it.
-		opts.Parallel = false
-		opts.ParallelWindow = 0
-	} else if e.Parallel && !opts.Parallel {
-		opts.Parallel = true
-		opts.ParallelWindow = e.ParallelWindow
-	}
 	return opts
 }
 
@@ -236,13 +201,6 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 	raw, hit, err := e.results().Do(e.ctx(), rescache.NSMeasurement, dig, func(runCtx context.Context) ([]byte, error) {
 		o := opts
 		o.Data = e.Data
-		if e.Checkpoints && !o.ColdRun {
-			// Best effort: a missing or failed checkpoint means a normal
-			// full rebuild, never a failed measurement.
-			if img, err := e.warmImage(runCtx, o.BufHeaderBytes); err == nil {
-				o.Warm = img
-			}
-		}
 		st, err := e.runner()(runCtx, o)
 		if err != nil {
 			return nil, err
@@ -375,4 +333,49 @@ func (e *Env) parallelism() int {
 		return 1
 	}
 	return e.Parallelism
+}
+
+// RunTally accumulates host-side accounting across an env's simulated runs:
+// how many ran, where the host wall-clock went (warmup prelude vs measured
+// region) and how many memory references they simulated. Methods are safe for
+// concurrent use; the zero value is ready.
+type RunTally struct {
+	mu  sync.Mutex
+	tot TallyTotals
+}
+
+// TallyTotals are a RunTally's running totals.
+type TallyTotals struct {
+	Runs       int
+	WarmupNS   int64
+	MeasuredNS int64
+	Refs       uint64 // simulated loads + stores
+}
+
+// add folds one run's stats in. Nil-safe on both sides so call sites stay
+// unconditional.
+func (t *RunTally) add(st *workload.Stats) {
+	if t == nil || st == nil {
+		return
+	}
+	var refs uint64
+	for i := range st.Procs {
+		refs += st.Procs[i].Counters.Loads + st.Procs[i].Counters.Stores
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tot.Runs++
+	t.tot.WarmupNS += st.WarmupHostNS
+	t.tot.MeasuredNS += st.MeasuredHostNS
+	t.tot.Refs += refs
+}
+
+// Snapshot returns the current totals.
+func (t *RunTally) Snapshot() TallyTotals {
+	if t == nil {
+		return TallyTotals{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.tot
 }

@@ -593,7 +593,7 @@ func (c *Coordinator) repairPass(ctx context.Context) int {
 		return 0 // nothing to compare against
 	}
 	repaired := 0
-	for _, ns := range []string{rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm} {
+	for _, ns := range rescache.Namespaces {
 		holds := make(map[string]map[string]bool, len(actives)) // member -> digest set
 		var order []string                                      // digests in first-seen order
 		holder := make(map[string]peer)                         // digest -> one member holding it

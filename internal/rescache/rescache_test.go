@@ -62,6 +62,22 @@ func TestDigestStableAndSensitive(t *testing.T) {
 	variant("quantum", func(o *workload.Options) { o.Quantum = 5000 }, 0.002, 7)
 }
 
+// TestDigestBytesPinned pins the hex content address of baseOpts, exact and
+// sampled. Disk caches and fleet peers store entries under these addresses,
+// so any change to the Request shape or its encoding that moves them turns
+// every persisted entry into a miss; such a change must bump requestSchema
+// and update these values on purpose.
+func TestDigestBytesPinned(t *testing.T) {
+	o := baseOpts()
+	if got, want := DigestOptions(0.002, 7, o), Digest("c2c6a4bc79f184dd3ff3484606531bafef4454505c3528d104ed5fba2b690544"); got != want {
+		t.Errorf("exact digest %s, want %s", got, want)
+	}
+	o.SampleQuanta = 8
+	if got, want := DigestOptions(0.002, 7, o), Digest("a8c222ede44a6c3bf15ee1bc4fb92586a4d102efad9e673833ce8990686d84de"); got != want {
+		t.Errorf("sampled digest %s, want %s", got, want)
+	}
+}
+
 // TestDigestIgnoresNonIdentity: Data and Obs do not change results, so they
 // must not change the address.
 func TestDigestIgnoresNonIdentity(t *testing.T) {

@@ -22,13 +22,11 @@ const (
 	NSMeasurement = "measurement"
 	NSFigure      = "figure"
 	NSSweep       = "sweep"
-	// NSWarm holds warm-state checkpoints (internal/ckpt snapshots): the
-	// database image at the measured-region boundary, keyed by the ckpt.Key
-	// digest. Entries are large relative to result JSON but one snapshot
-	// serves every machine spec, query, process count and trial at its
-	// (SF, seed, layout) identity.
-	NSWarm = "warmstate"
 )
+
+// Namespaces lists every namespace the serving layer stores, serves to peers
+// and repairs.
+var Namespaces = []string{NSMeasurement, NSFigure, NSSweep}
 
 // quarantineDir holds entries that failed read verification, preserved for
 // post-mortem instead of deleted. It is not a namespace; validNS namespaces

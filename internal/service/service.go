@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,12 +91,6 @@ type Config struct {
 	// panic/hang, scheduler stalls) for chaos testing. Disk sites are wired
 	// separately, via Store over a fault.FS.
 	Faults *fault.Injector
-	// Checkpoints enables warm-state restore for every measurement this
-	// daemon computes: the warmup prelude is captured once per dataset
-	// identity, cached under rescache.NSWarm (shared with fleet peers), and
-	// restored instead of rebuilt. Results are byte-identical either way, so
-	// this changes no digests — it only removes redundant warmup work.
-	Checkpoints bool
 	// SampleQuanta, when > 1, is the daemon-wide default SMARTS sampling
 	// period: requests that do not pass sample_quanta themselves run with
 	// interval sampling at this period. Sampled results live under their own
@@ -370,7 +365,6 @@ func (s *Server) env(ctx context.Context) *experiments.Env {
 	e.Results = s.store
 	e.Ctx = ctx
 	e.Runner = s.gatedRun
-	e.Checkpoints = s.cfg.Checkpoints
 	if s.cfg.EnvParallelism > 0 {
 		e.Parallelism = s.cfg.EnvParallelism
 	}
@@ -593,9 +587,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 
 	env := s.env(ctx)
-	if boolParam(r, "ckpt") {
-		env.Checkpoints = true
-	}
 	m, hit, err := env.MeasureCached(spec.Name, q, procs, opts)
 	if err != nil {
 		s.failRun(w, err)
@@ -821,9 +812,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // out into N simulations of the same digest.
 func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 	ns := r.PathValue("ns")
-	switch ns {
-	case rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm:
-	default:
+	if !slices.Contains(rescache.Namespaces, ns) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown cache namespace %q", ns))
 		return
 	}
@@ -858,9 +847,7 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 // truncated transfer changes nothing. Storing is idempotent.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	ns := r.PathValue("ns")
-	switch ns {
-	case rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm:
-	default:
+	if !slices.Contains(rescache.Namespaces, ns) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown cache namespace %q", ns))
 		return
 	}
@@ -890,9 +877,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 // repair pass.
 func (s *Server) handleCacheList(w http.ResponseWriter, r *http.Request) {
 	ns := r.PathValue("ns")
-	switch ns {
-	case rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm:
-	default:
+	if !slices.Contains(rescache.Namespaces, ns) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown cache namespace %q", ns))
 		return
 	}

@@ -379,3 +379,20 @@ func TestMeasureMatchesDirectRun(t *testing.T) {
 		t.Fatalf("served measurement differs from direct workload.Run:\nserved %s\ndirect %s", out.Measurement, direct)
 	}
 }
+
+// TestWarmstateNamespaceRetired: "warmstate" is not one of
+// rescache.Namespaces, so a peer asking to fetch or list it gets a 400 naming
+// the unknown namespace, like any other name outside the list.
+func TestWarmstateNamespaceRetired(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, "").Handler())
+	defer ts.Close()
+	for _, path := range []string{
+		"/v1/cache/warmstate/" + strings.Repeat("ab", 32),
+		"/v1/cache/warmstate",
+	} {
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown cache namespace") {
+			t.Errorf("GET %s: %d %s, want 400 unknown cache namespace", path, resp.StatusCode, body)
+		}
+	}
+}

@@ -62,18 +62,6 @@ type Options struct {
 	// run's CPU count and clock; observation is passive and does not
 	// perturb counters or timing.
 	Obs *obs.Observer
-	// Parallel opts into the bound–weave parallel execution mode: processes
-	// run concurrently up to shared window edges, with coherence, lock and
-	// hint-bit interactions applied at deterministic weave points (see
-	// DESIGN.md §11). Results are deterministic and GOMAXPROCS-independent
-	// but not byte-identical to serial runs, so Parallel is part of the
-	// result-cache identity. Runs needing an observer (Obs != nil) or a cold
-	// pool (ColdRun) fall back to serial execution: the observer is a serial
-	// consumer, and cold-pool I/O dedupe is first-toucher-order-dependent.
-	Parallel bool
-	// ParallelWindow is the bound-phase window in cycles (0 = the scheduling
-	// quantum). It bounds the timing skew between concurrent processes.
-	ParallelWindow uint64
 	// SimFault, when non-nil, is installed as the simulation kernel's
 	// quantum-boundary fault hook (sim.Kernel.FaultHook): the chaos layer
 	// injects wall-clock stalls and hangs through it. Like Obs it never
@@ -81,24 +69,13 @@ type Options struct {
 	// identity — it is excluded from the cache digest and cleared by
 	// experiments.Env.CanonicalOptions.
 	SimFault func()
-	// Warm, when non-nil, restores the database from a previously captured
-	// warm-state image (CaptureWarm) instead of re-running the load prelude.
-	// A restored run is byte-identical to a rebuilt one — the prelude never
-	// touches the machine model, so the image plus a fresh machine is the
-	// complete state at the measured-region boundary — which is why Warm
-	// carries no run identity: it is excluded from the cache digest and
-	// cleared by experiments.Env.CanonicalOptions. A mismatched or stale
-	// image silently falls back to a full rebuild; ColdRun ignores Warm
-	// (the cold pool's first-touch I/O is the experiment).
-	Warm *engine.Image
 	// SampleQuanta enables SMARTS-style interval sampling with the given
 	// period in scheduling quanta: of every SampleQuanta quanta per CPU, the
 	// first is simulated in detail and measured, the last is simulated in
 	// detail as functional warming, and the rest fast-forward with estimated
 	// timing (see obs.SamplingController). 0 or 1 means exact simulation.
 	// Sampled counters are estimates, so SampleQuanta is part of the result
-	// identity (rescache digests sampled and exact runs differently), and
-	// sampled runs execute serially like observed ones.
+	// identity (rescache digests sampled and exact runs differently).
 	SampleQuanta int
 }
 
@@ -125,21 +102,20 @@ type Stats struct {
 	Regions perfctr.RegionCounters
 	// DiskReads counts cold-pool device reads (0 for warm runs).
 	DiskReads uint64
-	// Restored reports whether the warmup prelude was restored from a
-	// warm-state image rather than rebuilt. Host-side accounting only —
-	// core.FromStats ignores it, so cached measurement bytes are identical
-	// either way.
+	// Restored is always false. It stays because it is part of the Stats
+	// JSON that the benchmark's figure workloads hash into their sim_digest;
+	// dropping it would change that pinned output.
 	Restored bool
 	// WarmupHostNS and MeasuredHostNS split the run's host wall-clock time
-	// between the warmup prelude (build or restore) and the measured region
-	// (simulation). Host-side accounting only, like Restored.
+	// between the warmup prelude (open and bulk load) and the measured
+	// region (simulation). Host-side accounting only.
 	// They are excluded from the JSON encoding: Stats JSON must stay a pure
 	// function of Options for digest-keyed caching and determinism tests.
 	WarmupHostNS   int64 `json:"-"`
 	MeasuredHostNS int64 `json:"-"`
 	// Sampling carries per-process sampling-estimator diagnostics (window
 	// counts, CI95 half-widths) when the run was sampled; nil for exact
-	// runs. Host-side diagnostics only, like Restored.
+	// runs. Host-side diagnostics only.
 	Sampling []obs.SampleEstimate
 }
 
@@ -189,10 +165,7 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	}
 
 	preludeStart := time.Now()
-	db, restored, err := buildDB(opts)
-	if err != nil {
-		return nil, err
-	}
+	db := buildDB(opts)
 	warmupNS := time.Since(preludeStart).Nanoseconds()
 
 	spec := opts.Spec
@@ -227,13 +200,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		}
 		sampler = obs.NewSamplingController(spec.CPUs, uint64(quantum), opts.SampleQuanta)
 		osys.SetSampling(sampler)
-	}
-	if opts.Parallel && opts.Obs == nil && !opts.ColdRun && sampler == nil {
-		osys.EnableBoundWeave(sim.Clock(opts.ParallelWindow))
-		m.EnableParallel()
-		db.EnableParallel(opts.Processes)
-		osys.AddWeaver(m.WeaveDirectory)
-		osys.AddWeaver(db.Weave)
 	}
 
 	queryOf := func(i int) tpch.QueryID {
@@ -288,7 +254,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 
 	st := &Stats{
 		DiskReads:      db.DiskReads,
-		Restored:       restored,
 		WarmupHostNS:   warmupNS,
 		MeasuredHostNS: measuredNS,
 		MachineName:    spec.Name,
@@ -337,11 +302,8 @@ func checkAnswer(data *tpch.Data, i int, q tpch.QueryID, r *tpch.Result) error {
 	return nil
 }
 
-// engineConfig derives the engine configuration from opts. It is the single
-// definition of the warmup prelude's inputs, shared by live runs, cold runs
-// and checkpoint capture, so the snapshot boundary and the cold-run boundary
-// cannot drift apart.
-func engineConfig(opts Options) engine.Config {
+// buildDB runs the warmup prelude: open the database and bulk-load the data.
+func buildDB(opts Options) *engine.Database {
 	ioLatency := uint64(0)
 	if opts.ColdRun {
 		scale := opts.OSTimeScale
@@ -355,48 +317,16 @@ func engineConfig(opts Options) engine.Config {
 			ioLatency = 2000
 		}
 	}
-	return engine.Config{
+	db := engine.Open(engine.Config{
 		PoolPages:       tpch.PoolPagesFor(opts.Data),
 		SpinLimit:       opts.SpinLimit,
 		BufHeaderBytes:  opts.BufHeaderBytes,
 		HintBitFraction: opts.HintBitFraction,
 		ColdPool:        opts.ColdRun,
 		IOLatency:       ioLatency,
-	}
-}
-
-// buildDB runs the warmup prelude: restore from opts.Warm when possible,
-// otherwise open and bulk-load. The returned bool reports a restore. A warm
-// image that fails structural validation falls back to a full rebuild —
-// checkpoints are an accelerator, never a correctness dependency.
-func buildDB(opts Options) (*engine.Database, bool, error) {
-	cfg := engineConfig(opts)
-	if opts.Warm != nil && !opts.ColdRun {
-		if db, err := engine.FromImage(opts.Warm, cfg); err == nil {
-			return db, true, nil
-		}
-	}
-	db := engine.Open(cfg)
+	})
 	tpch.Load(db, opts.Data)
-	return db, false, nil
-}
-
-// CaptureWarm runs the warmup prelude from scratch and returns the warm-state
-// image at the measured-region boundary — exactly the state a run restores
-// when Options.Warm is set. Only the prelude-shaping options matter (Data,
-// BufHeaderBytes; plus SpinLimit/HintBitFraction, which affect runtime
-// behavior but not the image); the rest may be left zero.
-func CaptureWarm(opts Options) (*engine.Image, error) {
-	if opts.Data == nil {
-		return nil, fmt.Errorf("workload: capture: no data")
-	}
-	opts.Warm = nil
-	opts.ColdRun = false
-	db, _, err := buildDB(opts)
-	if err != nil {
-		return nil, err
-	}
-	return db.Image(), nil
+	return db
 }
 
 // RunTrials repeats a configuration n times with perturbed OS jitter and

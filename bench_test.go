@@ -207,7 +207,9 @@ func BenchmarkCacheLookup(b *testing.B) {
 }
 
 // BenchmarkMachineAccess measures one simulated memory instruction through
-// the full hierarchy+directory path (mostly hits).
+// the full hierarchy+directory path under coherence ping-pong: 4 CPUs walk
+// the same 512 KiB, one reference in 16 is a store, so lines keep moving
+// between caches by invalidations and interventions.
 func BenchmarkMachineAccess(b *testing.B) {
 	m := machine.New(machine.OriginSpec(4, 64))
 	b.ResetTimer()
@@ -215,6 +217,54 @@ func BenchmarkMachineAccess(b *testing.B) {
 		addr := memsys.Addr((i & 0xffff) * 8)
 		m.Access(i&3, addr, 8, i&15 == 0, uint64(i))
 	}
+}
+
+// replayRef is one load or store of a captured reference stream.
+type replayRef struct {
+	addr  memsys.Addr
+	size  int32
+	write bool
+}
+
+// replayRefs collects a trace's loads and stores, dropping Work events.
+type replayRefs []replayRef
+
+func (r *replayRefs) Load(a memsys.Addr, n int)  { *r = append(*r, replayRef{a, int32(n), false}) }
+func (r *replayRefs) Store(a memsys.Addr, n int) { *r = append(*r, replayRef{a, int32(n), true}) }
+func (r *replayRefs) Work(uint64)                {}
+
+var (
+	q21RefsOnce sync.Once
+	q21Refs     replayRefs
+)
+
+// BenchmarkMachineReplay replays Q21's captured single-process reference
+// stream (small data) through CPU 0 of the small-preset Origin, the setting
+// of Fig. 5's one-process point, and reports host ns per simulated
+// reference: the memory model's per-reference cost with DBMS execution and
+// kernel scheduling taken out. Each iteration starts from a cold machine.
+func BenchmarkMachineReplay(b *testing.B) {
+	q21RefsOnce.Do(func() {
+		var buf bytes.Buffer
+		if _, err := trace.CaptureQuery(&buf, smallData(), tpch.Q21); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := trace.Replay(&buf, &q21Refs); err != nil {
+			b.Fatal(err)
+		}
+	})
+	spec := machine.OriginSpec(32, experiments.Small.MemScale)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := machine.New(spec)
+		b.StartTimer()
+		now := uint64(0)
+		for _, r := range q21Refs {
+			now += m.Access(0, r.addr, int(r.size), r.write, now)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(q21Refs)), "ns/ref")
 }
 
 // BenchmarkBTreeLookup measures a charged index descent.

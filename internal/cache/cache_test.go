@@ -15,6 +15,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "line", Size: 1024, LineSize: 33, Assoc: 2},
 		{Name: "div", Size: 1000, LineSize: 32, Assoc: 2},
 		{Name: "sets", Size: 32 * 3 * 2, LineSize: 32, Assoc: 2}, // 3 sets
+		{Name: "assoc", Size: 4096, LineSize: 32, Assoc: 4},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -132,7 +133,7 @@ func TestUpgradePath(t *testing.T) {
 }
 
 func TestFlushFraction(t *testing.T) {
-	c := New(Config{Name: "t", Size: 4096, LineSize: 32, Assoc: 4})
+	c := New(Config{Name: "t", Size: 4096, LineSize: 32, Assoc: 2})
 	for i := uint64(0); i < 128; i++ {
 		c.Insert(i, Shared)
 	}
@@ -154,7 +155,7 @@ func TestFlushFraction(t *testing.T) {
 // TestFlushFractionAllocFree: after the first flush sizes the victim buffer,
 // a context-switch flush of a refilled cache allocates nothing.
 func TestFlushFractionAllocFree(t *testing.T) {
-	c := New(Config{Name: "t", Size: 4096, LineSize: 32, Assoc: 4})
+	c := New(Config{Name: "t", Size: 4096, LineSize: 32, Assoc: 2})
 	refill := func() {
 		for i := uint64(0); i < 128; i++ {
 			c.Insert(i, Modified)

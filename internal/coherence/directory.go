@@ -18,6 +18,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dssmem/internal/cache"
 	"dssmem/internal/interconnect"
@@ -97,7 +98,11 @@ const (
 )
 
 type entry struct {
-	state    dirState
+	state dirState
+	// home is the line's home node plus one, memoised on the first
+	// transaction that needs it (0: not yet known). Pages never migrate, so
+	// a line's home is fixed for the directory's life.
+	home     uint8
 	owner    int16
 	ownerMod bool // owner known to have modified (granted M or migrated)
 	// migratory marks lines whose sharing pattern is read-modify-write
@@ -156,8 +161,9 @@ type Hooks struct {
 type Directory struct {
 	params    Params
 	placement memsys.Placement
-	net       interconnect.Network
 	nodeOf    []int                  // CacheID -> network endpoint/node
+	endpoints int                    // side of the latency table
+	latency   []uint64               // one-way latency, [src*endpoints+dst]
 	mem       []*interconnect.Server // per home node
 	caches    []CoherentCache        // per-CPU hierarchy views
 	lineShift uint
@@ -208,15 +214,32 @@ func NewDirectory(cfg Config) *Directory {
 	for 1<<ls < cfg.LineSize {
 		ls++
 	}
-	mem := make([]*interconnect.Server, cfg.Placement.Nodes())
+	nodes := cfg.Placement.Nodes()
+	if nodes > 255 {
+		panic("coherence: at most 255 home nodes (memoised per line in a byte)")
+	}
+	mem := make([]*interconnect.Server, nodes)
 	for i := range mem {
 		mem[i] = &interconnect.Server{Occupancy: cfg.MemOccupancy}
+	}
+	// The latency table covers every endpoint a message can name: network
+	// endpoints, home nodes and the caches' nodes.
+	n := max(cfg.Net.Endpoints(), nodes)
+	for _, node := range cfg.NodeOf {
+		n = max(n, node+1)
+	}
+	lat := make([]uint64, n*n)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			lat[src*n+dst] = cfg.Net.Latency(src, dst)
+		}
 	}
 	return &Directory{
 		params:    cfg.Params,
 		placement: cfg.Placement,
-		net:       cfg.Net,
 		nodeOf:    cfg.NodeOf,
+		endpoints: n,
+		latency:   lat,
 		mem:       mem,
 		caches:    cfg.Caches,
 		lineShift: ls,
@@ -253,9 +276,16 @@ func (d *Directory) peekChunk(line uint64) *chunk {
 	return d.private[line>>chunkBits]
 }
 
-func (d *Directory) homeOf(line uint64) int {
-	return d.placement.Home(memsys.Addr(line << d.lineShift))
+// homeOf returns the home node of line, whose entry is e.
+func (d *Directory) homeOf(e *entry, line uint64) int {
+	if e.home == 0 {
+		e.home = uint8(d.placement.Home(memsys.Addr(line<<d.lineShift))) + 1
+	}
+	return int(e.home) - 1
 }
+
+// lat returns the one-way network latency from endpoint src to dst.
+func (d *Directory) lat(src, dst int) uint64 { return d.latency[src*d.endpoints+dst] }
 
 func (d *Directory) classify(e *entry, c CacheID) Class {
 	bit := uint64(1) << uint(c)
@@ -298,9 +328,9 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 	e.ever |= bit
 	e.inval &^= bit
 
-	home := d.homeOf(line)
+	home := d.homeOf(e, line)
 	rnode := d.nodeOf[c]
-	lat := d.net.Latency(rnode, home) + d.params.DirAccess
+	lat := d.lat(rnode, home) + d.params.DirAccess
 	wait := d.mem[home].Serve(now + lat)
 	lat += wait
 	d.Stats.QueueWait += wait
@@ -308,7 +338,7 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 	res := Result{Class: cl}
 	switch e.state {
 	case dirUncached:
-		lat += d.params.MemAccess + d.net.Latency(home, rnode)
+		lat += d.params.MemAccess + d.lat(home, rnode)
 		d.Stats.CleanMisses++
 		if d.params.NoExclusive {
 			e.state = dirShared
@@ -322,7 +352,7 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 		res.Grant = cache.Exclusive
 
 	case dirShared:
-		lat += d.params.MemAccess + d.net.Latency(home, rnode)
+		lat += d.params.MemAccess + d.lat(home, rnode)
 		d.Stats.CleanMisses++
 		d.Stats.CleanSharedGrants++
 		e.sharers |= bit
@@ -333,7 +363,7 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 		if o == c {
 			// The owner's copy was silently replaced (or lost to pollution)
 			// without a notification reaching us; treat as uncached.
-			lat += d.params.MemAccess + d.net.Latency(home, rnode)
+			lat += d.params.MemAccess + d.lat(home, rnode)
 			d.Stats.CleanMisses++
 			res.Grant = cache.Exclusive
 			if d.params.NoExclusive {
@@ -346,13 +376,13 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 		onode := d.nodeOf[o]
 		ownerState := d.caches[o].StateOf(line)
 		dirtyOwner := ownerState == cache.Modified || (ownerState == cache.Invalid && e.ownerMod)
-		threeHop := d.net.Latency(home, onode) + d.params.CacheExtract + d.net.Latency(onode, rnode)
+		threeHop := d.lat(home, onode) + d.params.CacheExtract + d.lat(onode, rnode)
 
 		switch {
 		case ownerState == cache.Invalid:
 			// Owner silently dropped the line. If it had modified data we
 			// would have seen the writeback; model as clean at home.
-			lat += d.params.MemAccess + d.net.Latency(home, rnode)
+			lat += d.params.MemAccess + d.lat(home, rnode)
 			d.Stats.CleanMisses++
 			e.state = dirOwned
 			e.owner = int16(c)
@@ -394,7 +424,7 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 			if d.params.Speculative {
 				// The speculative home reply is valid: cost of a clean miss
 				// plus the directory's extra bookkeeping.
-				lat += d.params.MemAccess + d.net.Latency(home, rnode)
+				lat += d.params.MemAccess + d.lat(home, rnode)
 				d.Stats.SpeculativeHits++
 			} else {
 				// V-Class: the owner must confirm before home replies
@@ -428,9 +458,9 @@ func (d *Directory) Write(c CacheID, line uint64, now uint64) Result {
 	e.ever |= bit
 	e.inval &^= bit
 
-	home := d.homeOf(line)
+	home := d.homeOf(e, line)
 	rnode := d.nodeOf[c]
-	lat := d.net.Latency(rnode, home) + d.params.DirAccess
+	lat := d.lat(rnode, home) + d.params.DirAccess
 	wait := d.mem[home].Serve(now + lat)
 	lat += wait
 	d.Stats.QueueWait += wait
@@ -438,11 +468,11 @@ func (d *Directory) Write(c CacheID, line uint64, now uint64) Result {
 	res := Result{Class: cl, Grant: cache.Modified}
 	switch e.state {
 	case dirUncached:
-		lat += d.params.MemAccess + d.net.Latency(home, rnode)
+		lat += d.params.MemAccess + d.lat(home, rnode)
 		d.Stats.CleanMisses++
 
 	case dirShared:
-		lat += d.params.MemAccess + d.params.InvalLatency + d.net.Latency(home, rnode)
+		lat += d.params.MemAccess + d.params.InvalLatency + d.lat(home, rnode)
 		d.Stats.CleanMisses++
 		d.invalidateSharers(e, line, c, now)
 		e.migratory = true // write following shared reads: hand-off pattern
@@ -453,10 +483,10 @@ func (d *Directory) Write(c CacheID, line uint64, now uint64) Result {
 			onode := d.nodeOf[o]
 			ownerState := d.caches[o].StateOf(line)
 			if ownerState == cache.Invalid {
-				lat += d.params.MemAccess + d.net.Latency(home, rnode)
+				lat += d.params.MemAccess + d.lat(home, rnode)
 				d.Stats.CleanMisses++
 			} else {
-				lat += d.net.Latency(home, onode) + d.params.CacheExtract + d.net.Latency(onode, rnode)
+				lat += d.lat(home, onode) + d.params.CacheExtract + d.lat(onode, rnode)
 				d.caches[o].Invalidate(line)
 				if d.Hooks.Invalidate != nil {
 					d.Hooks.Invalidate(c, o, line, now)
@@ -471,7 +501,7 @@ func (d *Directory) Write(c CacheID, line uint64, now uint64) Result {
 				}
 			}
 		} else {
-			lat += d.params.MemAccess + d.net.Latency(home, rnode)
+			lat += d.params.MemAccess + d.lat(home, rnode)
 			d.Stats.CleanMisses++
 		}
 	}
@@ -498,9 +528,9 @@ func (d *Directory) Upgrade(c CacheID, line uint64, now uint64) Result {
 		return d.Write(c, line, now)
 	}
 	d.Stats.Upgrades++
-	home := d.homeOf(line)
+	home := d.homeOf(e, line)
 	rnode := d.nodeOf[c]
-	lat := d.net.Latency(rnode, home) + d.params.DirAccess
+	lat := d.lat(rnode, home) + d.params.DirAccess
 	wait := d.mem[home].Serve(now + lat)
 	lat += wait
 	d.Stats.QueueWait += wait
@@ -508,7 +538,7 @@ func (d *Directory) Upgrade(c CacheID, line uint64, now uint64) Result {
 	if e.sharers != bit {
 		lat += d.params.InvalLatency
 	}
-	lat += d.net.Latency(home, rnode) // ack
+	lat += d.lat(home, rnode) // ack
 	d.invalidateSharers(e, line, c, now)
 	e.migratory = true // read-then-write observed: migratory candidate
 	e.state = dirOwned
@@ -524,17 +554,17 @@ func (d *Directory) Upgrade(c CacheID, line uint64, now uint64) Result {
 	return res
 }
 
+// invalidateSharers kills every sharer's copy but except's, in ascending
+// CacheID order.
 func (d *Directory) invalidateSharers(e *entry, line uint64, except CacheID, now uint64) {
-	for i := range d.caches {
-		bit := uint64(1) << uint(i)
-		if e.sharers&bit != 0 && CacheID(i) != except {
-			d.caches[i].Invalidate(line)
-			if d.Hooks.Invalidate != nil {
-				d.Hooks.Invalidate(except, CacheID(i), line, now)
-			}
-			e.inval |= bit
-			d.Stats.InvalidationsSent++
+	for rest := e.sharers &^ (uint64(1) << uint(except)); rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		d.caches[i].Invalidate(line)
+		if d.Hooks.Invalidate != nil {
+			d.Hooks.Invalidate(except, CacheID(i), line, now)
 		}
+		e.inval |= uint64(1) << uint(i)
+		d.Stats.InvalidationsSent++
 	}
 	e.sharers = 0
 }
@@ -559,7 +589,7 @@ func (d *Directory) Evict(c CacheID, line uint64, dirty bool, now uint64) {
 	}
 	if dirty {
 		d.Stats.Writebacks++
-		home := d.homeOf(line)
+		home := d.homeOf(e, line)
 		d.mem[home].Serve(now)
 	}
 }

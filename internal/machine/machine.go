@@ -158,62 +158,75 @@ func (m *Machine) Access(c int, addr memsys.Addr, size int, write bool, now uint
 	l1 := m.l1[c]
 	first := l1.LineOf(uint64(addr))
 	last := l1.LineOf(uint64(addr) + uint64(size) - 1)
+	// Each level is probed once per line: a miss's probe names the slot its
+	// fill takes, which stays valid across the directory transaction because
+	// the protocol never acts on the requester's own caches.
 	for line := first; line <= last; line++ {
-		cycles += m.accessLine(c, line, write, now+cycles)
+		slot, st, hit := l1.Probe(line, write)
+		if !hit {
+			ct.L1DMisses++
+			cycles += m.miss(c, ct, slot, line, write, now+cycles)
+		} else if write && st != cache.Modified {
+			cycles += m.writeHit(c, ct, slot, st, line, now+cycles)
+		}
 	}
 	ct.Cycles += cycles
 	return cycles
 }
 
-// accessLine handles one L1-line reference and returns its stall cycles.
-func (m *Machine) accessLine(c int, l1line uint64, write bool, now uint64) uint64 {
-	ct := &m.ctrs[c]
-	l1 := m.l1[c]
-	st, hit := l1.Lookup(l1line, write)
-	if hit {
-		if !write {
-			return 0
+// writeHit handles a store that hits a clean L1 line in slot and returns its
+// stall cycles.
+func (m *Machine) writeHit(c int, ct *perfctr.Counters, slot int, st cache.State, line uint64, now uint64) uint64 {
+	if st == cache.Exclusive {
+		m.l1[c].SetStateAt(slot, cache.Modified)
+		if m.l2 != nil {
+			m.l2[c].MarkModified(line >> m.outerShift)
 		}
-		switch st {
-		case cache.Modified:
-			return 0
-		case cache.Exclusive:
-			l1.SetState(l1line, cache.Modified)
-			m.markOuterDirty(c, l1line)
-			return 0
-		default: // Shared: needs ownership
-			return m.upgrade(c, l1line, now)
-		}
+		return 0
 	}
-	ct.L1DMisses++
-	if m.l2 == nil {
-		return m.outerMiss(c, l1line, write, now)
-	}
-	return m.l2Access(c, l1line, write, now)
+	return m.upgrade(c, ct, slot, line, now)
 }
 
-// l2Access services an L1 miss against the L2 (Origin path).
-func (m *Machine) l2Access(c int, l1line uint64, write bool, now uint64) uint64 {
-	ct := &m.ctrs[c]
-	l2 := m.l2[c]
-	outerLine := l1line >> m.outerShift
-	st, hit := l2.Lookup(outerLine, write)
-	if hit {
-		stall := m.spec.L2HitCycles
-		if write && st == cache.Shared {
-			stall += m.upgradeOuter(c, outerLine, now)
-			st = cache.Modified
-		} else if write && st == cache.Exclusive {
-			l2.SetState(outerLine, cache.Modified)
-			st = cache.Modified
-		}
-		m.installL1(c, l1line, l1State(st, write))
+// miss handles an L1 miss whose fill takes slot and returns its stall cycles.
+func (m *Machine) miss(c int, ct *perfctr.Counters, slot int, line uint64, write bool, now uint64) uint64 {
+	l1 := m.l1[c]
+	if m.l2 == nil {
+		stall, _, _ := m.fetch(c, ct, l1, slot, line, write, now)
 		return stall
 	}
-	ct.L2DMisses++
-	stall := m.spec.L2HitCycles + m.outerFetch(c, outerLine, write, now)
-	grant := m.l2[c].StateOf(outerLine)
-	m.installL1(c, l1line, l1State(grant, write))
+	l2 := m.l2[c]
+	outer := line >> m.outerShift
+	stall := m.spec.L2HitCycles
+	slot2, st2, hit2 := l2.Probe(outer, write)
+	refill := false
+	if hit2 {
+		if write && st2 != cache.Modified {
+			if st2 == cache.Shared {
+				stall += m.upgradeOuter(c, ct, l2, slot2, outer, now)
+			} else {
+				l2.SetStateAt(slot2, cache.Modified)
+			}
+			st2 = cache.Modified
+		}
+	} else {
+		ct.L2DMisses++
+		var fetchStall uint64
+		fetchStall, st2, refill = m.fetch(c, ct, l2, slot2, outer, write, now)
+		stall += fetchStall
+	}
+	// A write leaves the covering L2 line Modified on every path above, so
+	// only a dirty L1 victim has to be written back into L2.
+	var v cache.Victim
+	if refill {
+		// The L2 victim's back-invalidation may have freed a way in this L1
+		// set, which the fill must now prefer: choose the slot again.
+		v = l1.Insert(line, l1State(st2, write))
+	} else {
+		v = l1.FillAt(slot, line, l1State(st2, write))
+	}
+	if v.State.Dirty() {
+		l2.MarkModified(v.Line >> m.outerShift)
+	}
 	return stall
 }
 
@@ -230,41 +243,11 @@ func l1State(outer cache.State, write bool) cache.State {
 	}
 }
 
-// installL1 inserts a line into L1, handling the dirty-victim writeback into
-// L2 (or the directory on single-level machines — not used there).
-func (m *Machine) installL1(c int, l1line uint64, st cache.State) {
-	v := m.l1[c].Insert(l1line, st)
-	if v.State == cache.Invalid {
-		return
-	}
-	if v.State.Dirty() && m.l2 != nil {
-		// Write the dirty sub-block back into the covering L2 line.
-		m.l2[c].MarkModified(v.Line >> m.outerShift)
-	}
-	if st == cache.Modified {
-		m.markOuterDirty(c, l1line)
-	}
-}
-
-// markOuterDirty propagates an L1 write into the covering outer-level state
-// so the protocol (which acts at outer granularity) sees the line as dirty.
-func (m *Machine) markOuterDirty(c int, l1line uint64) {
-	if m.l2 == nil {
-		return
-	}
-	m.l2[c].MarkModified(l1line >> m.outerShift)
-}
-
-// outerMiss handles a miss in the outermost (coherent) cache for single-level
-// machines: consult the directory, install, and account stalls.
-func (m *Machine) outerMiss(c int, line uint64, write bool, now uint64) uint64 {
-	return m.outerFetch(c, line, write, now)
-}
-
-// outerFetch performs the directory transaction for an outer-level miss and
-// installs the granted line into the outer cache.
-func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 {
-	ct := &m.ctrs[c]
+// fetch performs the directory transaction for a miss in the outermost cache
+// and fills the granted line into slot, the miss's probe result. It returns
+// the stall cycles, the granted state and whether the fill displaced a valid
+// line.
+func (m *Machine) fetch(c int, ct *perfctr.Counters, outer *cache.Cache, slot int, line uint64, write bool, now uint64) (uint64, cache.State, bool) {
 	var r coherence.Result
 	if write {
 		r = m.dir.Write(coherence.CacheID(c), line, now)
@@ -285,9 +268,9 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 
 		ct.Dirty3HopMisses++
 	}
 
-	outer := m.outerCache(c)
-	v := outer.Insert(line, r.Grant)
-	if v.State != cache.Invalid {
+	v := outer.FillAt(slot, line, r.Grant)
+	evicted := v.State != cache.Invalid
+	if evicted {
 		m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
 		if m.l2 != nil {
 			// Inclusion: back-invalidate the L1 sub-blocks of the victim.
@@ -301,46 +284,39 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 
 	}
 	stall := uint64(float64(r.Latency)*factor + 0.5)
 	ct.StallCycles += stall
-	return stall
+	return stall, r.Grant, evicted
 }
 
-// upgrade handles a write hit on a Shared L1 line (single- or multi-level).
-func (m *Machine) upgrade(c int, l1line uint64, now uint64) uint64 {
+// upgrade handles a write hit on the Shared L1 line in slot.
+func (m *Machine) upgrade(c int, ct *perfctr.Counters, slot int, line uint64, now uint64) uint64 {
+	l1 := m.l1[c]
 	if m.l2 == nil {
-		stall := m.upgradeOuter(c, l1line, now)
-		m.l1[c].SetState(l1line, cache.Modified)
-		return stall
+		return m.upgradeOuter(c, ct, l1, slot, line, now)
 	}
-	outer := l1line >> m.outerShift
+	outer := line >> m.outerShift
+	l2 := m.l2[c]
+	slot2, st2 := l2.Find(outer)
 	stall := m.spec.L2HitCycles
-	if m.l2[c].StateOf(outer) == cache.Shared {
-		stall += m.upgradeOuter(c, outer, now)
-	} else if m.l2[c].StateOf(outer) != cache.Invalid {
-		m.l2[c].SetState(outer, cache.Modified)
+	switch st2 {
+	case cache.Invalid:
+		panic(fmt.Sprintf("machine: CPU %d holds L1 line %#x without its L2 line (inclusion violated)", c, line))
+	case cache.Shared:
+		stall += m.upgradeOuter(c, ct, l2, slot2, outer, now)
+	default:
+		l2.SetStateAt(slot2, cache.Modified)
 	}
-	m.l1[c].SetState(l1line, cache.Modified)
+	l1.SetStateAt(slot, cache.Modified)
 	return stall
 }
 
-// upgradeOuter performs the directory upgrade for the outer cache.
-func (m *Machine) upgradeOuter(c int, outerLine uint64, now uint64) uint64 {
-	ct := &m.ctrs[c]
-	r := m.dir.Upgrade(coherence.CacheID(c), outerLine, now)
+// upgradeOuter performs the directory upgrade for the resident outer-cache
+// line in slot and installs the granted state there.
+func (m *Machine) upgradeOuter(c int, ct *perfctr.Counters, outer *cache.Cache, slot int, line uint64, now uint64) uint64 {
+	r := m.dir.Upgrade(coherence.CacheID(c), line, now)
 	ct.Upgrades++
 	ct.MemRequests++
 	ct.MemLatencyCycles += r.Latency
-	outer := m.outerCache(c)
-	if outer.StateOf(outerLine) != cache.Invalid {
-		outer.SetState(outerLine, r.Grant)
-	} else {
-		v := outer.Insert(outerLine, r.Grant)
-		if v.State != cache.Invalid {
-			m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
-			if m.l2 != nil {
-				m.backInvalidateL1(c, v.Line)
-			}
-		}
-	}
+	outer.SetStateAt(slot, r.Grant)
 	stall := uint64(float64(r.Latency)*m.spec.WriteStallFactor + 0.5)
 	ct.StallCycles += stall
 	return stall
@@ -401,10 +377,7 @@ func (m *Machine) FlushFraction(c int, frac float64, now uint64) {
 	if m.l2 != nil {
 		for _, v := range m.l1[c].FlushFraction(frac) {
 			if v.State.Dirty() {
-				outer := v.Line >> m.outerShift
-				if m.l2[c].StateOf(outer) != cache.Invalid {
-					m.l2[c].SetState(outer, cache.Modified)
-				}
+				m.l2[c].MarkModified(v.Line >> m.outerShift)
 			}
 		}
 	}

@@ -104,6 +104,8 @@ func (o *OS) Spawn(cpu int, body func(*Process)) *Process {
 	p := &Process{
 		os:        o,
 		CPU:       cpu,
+		ct:        o.mach.Counters(cpu),
+		memoPage:  noPage,
 		sliceLeft: o.cfg.TimeSlice,
 		rng:       (uint64(cpu)+o.cfg.Seed*0x9E3779B97F4A7C15+1)*2862933555777941757 + 3037000493,
 	}
@@ -145,6 +147,7 @@ type Process struct {
 	os        *OS
 	sp        *sim.Proc
 	CPU       int
+	ct        *perfctr.Counters // the CPU's counter file; never reallocated
 	sliceLeft uint64
 	thread    uint64 // on-CPU cycles
 	rng       uint64
@@ -153,14 +156,25 @@ type Process struct {
 
 	// Classifier, when set, maps addresses to data regions and Regions
 	// accumulates per-region access/miss tallies (the paper's
-	// record/index/metadata/private taxonomy).
+	// record/index/metadata/private taxonomy). Set it before the process's
+	// first reference; its result is memoised per page.
 	Classifier func(memsys.Addr) perfctr.Region
 	Regions    perfctr.RegionCounters
+
+	// The region of the last page the process referenced, so a run of
+	// references to one page calls Classifier once. This relies on a page's
+	// region never changing while memoised: a DBMS page is typed when it is
+	// allocated, before anything references it.
+	memoPage   uint64
+	memoRegion perfctr.Region
 }
+
+// noPage is a page number no address maps to.
+const noPage = ^uint64(0)
 
 // Counters returns the hardware counter file of the process's CPU. With one
 // process per CPU (the paper's setup) this is also the process's counter set.
-func (p *Process) Counters() *perfctr.Counters { return p.os.mach.Counters(p.CPU) }
+func (p *Process) Counters() *perfctr.Counters { return p.ct }
 
 // Now returns the process's wall clock in cycles.
 func (p *Process) Now() uint64 { return uint64(p.sp.Now()) }
@@ -218,7 +232,7 @@ func (p *Process) Store(addr memsys.Addr, size int) { p.access(addr, size, true)
 func (p *Process) access(addr memsys.Addr, size int, write bool) {
 	sc := p.os.sampling
 	if sc != nil {
-		if cyc, ff := sc.Access(p.CPU, p.Counters(), write, p.Now()); ff {
+		if cyc, ff := sc.Access(p.CPU, p.ct, write, p.Now()); ff {
 			// Fast-forwarded: functional counters are bumped, timing is the
 			// controller's estimate, and the cache/directory walk (and the
 			// region tally, which attributes detailed misses) is skipped.
@@ -226,24 +240,22 @@ func (p *Process) access(addr memsys.Addr, size int, write bool) {
 			return
 		}
 	}
-	if p.Classifier == nil {
-		cyc := p.os.mach.Access(p.CPU, addr, size, write, p.Now())
-		if sc != nil {
-			sc.Detailed(p.CPU, cyc)
-		}
-		p.onCPU(cyc)
-		return
-	}
-	ct := p.Counters()
+	ct := p.ct
 	l1, l2 := ct.L1DMisses, ct.L2DMisses
 	cyc := p.os.mach.Access(p.CPU, addr, size, write, p.Now())
 	if sc != nil {
 		sc.Detailed(p.CPU, cyc)
 	}
-	region := p.Classifier(addr)
-	p.Regions.Accesses[region]++
-	p.Regions.L1Misses[region] += ct.L1DMisses - l1
-	p.Regions.L2Misses[region] += ct.L2DMisses - l2
+	if p.Classifier != nil {
+		if page := memsys.Page(addr); page != p.memoPage {
+			p.memoPage = page
+			p.memoRegion = p.Classifier(addr)
+		}
+		region := p.memoRegion
+		p.Regions.Accesses[region]++
+		p.Regions.L1Misses[region] += ct.L1DMisses - l1
+		p.Regions.L2Misses[region] += ct.L2DMisses - l2
+	}
 	p.onCPU(cyc)
 }
 

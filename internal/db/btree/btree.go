@@ -188,6 +188,9 @@ func (t *Tree) lowerBound(pg int, key int64) int {
 // Insert adds (key → tid). Inserts are bulk-load time and charge nothing;
 // queries in this workload are read-only, as in the paper.
 func (t *Tree) Insert(key int64, tid storage.TID) {
+	if t.pool.Frozen() {
+		panic("btree: insert into a frozen buffer pool")
+	}
 	sk, np, split := t.insert(t.root, key, PackTID(tid))
 	if split {
 		newRoot := t.newNode(false)

@@ -6,6 +6,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"dssmem/internal/db/btree"
 	"dssmem/internal/db/catalog"
 	"dssmem/internal/db/lock"
@@ -63,6 +65,11 @@ const DefaultHintRaceWindow = 100_000
 const DefaultHintBitFraction = 0.25
 
 // Database is one DBMS instance over one simulated machine's shared memory.
+//
+// Its buffer pool and catalog can be shared: Fork gives a run its own
+// database over another's loaded pool and catalog, with fresh locks, hint
+// bits, cold-pool residency and counters, so every run over one dataset
+// reads one loaded image (see tpch.Data.Image).
 type Database struct {
 	cfg Config
 
@@ -80,9 +87,14 @@ type Database struct {
 	pgLogBase    memsys.Addr
 	hintPermille uint64
 	hintRace     uint64
-	hintsSet     map[storage.TID]uint64 // TID -> time of the first hint store
-	ioLatency    uint64
-	resident     []bool // per pool page; nil when the pool starts warm
+	// hints holds, per pool page, one word per tuple slot: 0 until the
+	// slot's first hint store, then that store's time plus one. The outer
+	// slice is allocated on the first hint store, a page's slots on the
+	// first hint stored on that page, carved from hintSlab.
+	hints     [][]uint64
+	hintSlab  []uint64
+	ioLatency uint64
+	resident  []bool // per pool page; nil when the pool starts warm
 
 	// DiskReads counts simulated device reads (cold pool only).
 	DiskReads uint64
@@ -108,33 +120,79 @@ const (
 	bufHashOff    = 128 << 10
 )
 
+// Layout is the part of a Config that places shared memory: the pool's
+// capacity and the buffer-descriptor stride, which moves the pool base. Two
+// databases with one Layout put every page at the same simulated address.
+type Layout struct {
+	PoolPages      int
+	BufHeaderBytes int
+}
+
+// Layout returns cfg's layout, with the default descriptor stride made
+// explicit.
+func (cfg Config) Layout() Layout {
+	l := Layout{PoolPages: cfg.PoolPages, BufHeaderBytes: cfg.BufHeaderBytes}
+	if l.BufHeaderBytes <= 0 {
+		l.BufHeaderBytes = DefaultBufHeaderBytes
+	}
+	return l
+}
+
+// poolBase returns the simulated address of page 0: the pool starts on the
+// first page boundary after the buffer hash table and descriptors.
+func (l Layout) poolBase() memsys.Addr {
+	hdrBytes := uint64(l.PoolPages * l.BufHeaderBytes)
+	return (l.bufHdrBase() + memsys.Addr(hdrBytes) + storage.PageSize - 1) &^ (storage.PageSize - 1)
+}
+
+// bufHdrBase returns the address of the first buffer descriptor.
+func (l Layout) bufHdrBase() memsys.Addr {
+	hashBytes := uint64(l.PoolPages * 16) // buffer hash table
+	return memsys.SharedBase + memsys.Addr(bufHashOff) + memsys.Addr(hashBytes)
+}
+
 // Open creates a database with an empty pool.
 func Open(cfg Config) *Database {
 	if cfg.PoolPages <= 0 {
 		panic("engine: PoolPages must be positive")
 	}
-	if cfg.BufHeaderBytes <= 0 {
-		cfg.BufHeaderBytes = DefaultBufHeaderBytes
-	}
-	hdrBytes := uint64(cfg.PoolPages * cfg.BufHeaderBytes)
-	hashBytes := uint64(cfg.PoolPages * 16) // buffer hash table
-	bufHdrBase := memsys.SharedBase + memsys.Addr(bufHashOff) + memsys.Addr(hashBytes)
-	poolBase := (bufHdrBase + memsys.Addr(hdrBytes) + storage.PageSize - 1) &^ (storage.PageSize - 1)
+	l := cfg.Layout()
+	return newDatabase(cfg,
+		storage.NewPool(l.poolBase(), l.PoolPages),
+		catalog.New(memsys.SharedBase+catalogOff, bufHashOff-catalogOff))
+}
 
+// Fork returns a database for one run over db's pool and catalog. The pool
+// and catalog are shared, and the caller must not write to them (freeze the
+// pool first); everything a run changes is new: BufMgrLock, the lock
+// manager, hint bits, cold-pool residency, DiskReads and HintWrites. cfg
+// must have db's Layout; its other fields configure the run.
+func (db *Database) Fork(cfg Config) *Database {
+	if l := cfg.Layout(); l != db.cfg.Layout() {
+		panic(fmt.Sprintf("engine: fork with layout %+v of a database with layout %+v", l, db.cfg.Layout()))
+	}
+	return newDatabase(cfg, db.Pool, db.Catalog)
+}
+
+// newDatabase builds the per-run state over a pool placed by cfg's layout.
+func newDatabase(cfg Config, pool *storage.Pool, cat *catalog.Catalog) *Database {
+	l := cfg.Layout()
+	cfg.BufHeaderBytes = l.BufHeaderBytes
 	db := &Database{
-		cfg:         cfg,
-		Pool:        storage.NewPool(poolBase, cfg.PoolPages),
-		Catalog:     catalog.New(memsys.SharedBase+catalogOff, bufHashOff-catalogOff),
-		LockMgr:     lock.NewManager(memsys.SharedBase+lockMgrOff, 64),
-		BufMgrLock:  lock.NewSpinLock(memsys.SharedBase + bufMgrLockOff),
-		bufHdrBase:  bufHdrBase,
-		bufHashBase: memsys.SharedBase + bufHashOff,
+		cfg:          cfg,
+		Pool:         pool,
+		Catalog:      cat,
+		LockMgr:      lock.NewManager(memsys.SharedBase+lockMgrOff, 64),
+		BufMgrLock:   lock.NewSpinLock(memsys.SharedBase + bufMgrLockOff),
+		bufHdrBase:   l.bufHdrBase(),
+		bufHashBase:  memsys.SharedBase + bufHashOff,
+		freelistAddr: memsys.SharedBase + bufMgrLockOff + 64,
+		pgLogBase:    memsys.SharedBase + pgLogOff,
+		SharedBytes:  uint64(pool.Base()) + pool.Size(),
 	}
 	if cfg.SpinLimit > 0 {
 		db.BufMgrLock.SpinLimit = cfg.SpinLimit
 	}
-	db.freelistAddr = memsys.SharedBase + bufMgrLockOff + 64
-	db.pgLogBase = memsys.SharedBase + pgLogOff
 	frac := cfg.HintBitFraction
 	switch {
 	case frac < 0:
@@ -147,7 +205,6 @@ func Open(cfg Config) *Database {
 	if db.hintRace == 0 {
 		db.hintRace = DefaultHintRaceWindow
 	}
-	db.hintsSet = make(map[storage.TID]uint64)
 	if cfg.ColdPool {
 		db.resident = make([]bool, cfg.PoolPages)
 		db.ioLatency = cfg.IOLatency
@@ -155,7 +212,6 @@ func Open(cfg Config) *Database {
 			db.ioLatency = DefaultIOLatency
 		}
 	}
-	db.SharedBytes = uint64(poolBase) + uint64(cfg.PoolPages)*storage.PageSize
 	return db
 }
 
@@ -175,8 +231,12 @@ func (db *Database) Classify(addr memsys.Addr) perfctr.Region {
 	return perfctr.RegionMetadata
 }
 
-// CreateTable makes a relation with the given schema.
+// CreateTable makes a relation with the given schema. It panics on a frozen
+// pool, before the shared catalog changes.
 func (db *Database) CreateTable(name string, schema *storage.Schema) *catalog.Relation {
+	if db.Pool.Frozen() {
+		panic("engine: create table " + name + " in a frozen buffer pool")
+	}
 	heap := storage.NewHeap(db.Pool, schema)
 	return db.Catalog.Create(name, heap)
 }
@@ -210,7 +270,7 @@ type Session struct {
 	P   Proc
 	PID int
 
-	mem storage.Mem // P narrowed to storage.Mem, boxed once
+	mem storage.Mem // P as a storage.Mem, converted once
 
 	// Stats.
 	Pins   uint64
@@ -219,7 +279,7 @@ type Session struct {
 
 // NewSession opens a backend for process pid.
 func (db *Database) NewSession(p Proc, pid int) *Session {
-	return &Session{DB: db, P: p, PID: pid, mem: memAdapter{p}}
+	return &Session{DB: db, P: p, PID: pid, mem: p}
 }
 
 // ioWaiter is the optional process capability cold-pool reads need;
@@ -307,36 +367,51 @@ func (s *Session) CheckHints(heap *storage.Heap, tid storage.TID) {
 	if (h>>32)%1000 >= db.hintPermille {
 		return
 	}
+	if db.hints == nil {
+		db.hints = make([][]uint64, db.Pool.Pages())
+	}
+	slots := db.hints[tid.Page]
+	if slots == nil {
+		slots = db.newHintSlots(heap.Schema().TuplesPerPage())
+		db.hints[tid.Page] = slots
+	}
 	now := s.P.Now()
-	if setAt, done := db.hintsSet[tid]; done {
-		// Another process already stored the hint. If this process is racing
-		// within the concurrency window it has not seen that store and
-		// repeats the check and the store itself; otherwise the hint is
-		// visible and the check is free.
-		if now > setAt+db.hintRace {
+	if setAt := slots[tid.Slot]; setAt != 0 {
+		// Another process already stored the hint (at setAt-1). If this
+		// process is racing within the concurrency window it has not seen
+		// that store and repeats the check and the store itself; otherwise
+		// the hint is visible and the check is free.
+		if now >= setAt+db.hintRace {
 			return
 		}
-		db.HintWrites++
 	} else {
-		db.hintsSet[tid] = now
-		db.HintWrites++
+		slots[tid.Slot] = now + 1
 	}
+	db.HintWrites++
 	s.P.Work(60) // HeapTupleSatisfies + TransactionIdDidCommit
 	s.P.Load(db.pgLogBase+memsys.Addr(h%pgLogBytes), 8)
 	s.P.Store(heap.TupleAddr(tid), 2)
+}
+
+// hintSlabSlots is the size of one allocation of hint slots (32 KiB, about
+// 30 lineitem pages' worth).
+const hintSlabSlots = 4096
+
+// newHintSlots returns n zeroed hint slots for one page, carved from a slab
+// so a run allocates its hint state in a few blocks rather than one per page.
+func (db *Database) newHintSlots(n int) []uint64 {
+	if len(db.hintSlab) < n {
+		db.hintSlab = make([]uint64, max(n, hintSlabSlots))
+	}
+	slots := db.hintSlab[:n:n]
+	db.hintSlab = db.hintSlab[n:]
+	return slots
 }
 
 // Lookup resolves a table by name with charged catalog reads.
 func (s *Session) Lookup(name string) *catalog.Relation {
 	return s.DB.Catalog.Lookup(s.mem, name)
 }
-
-// memAdapter narrows Proc to storage.Mem.
-type memAdapter struct{ p Proc }
-
-func (m memAdapter) Load(a memsys.Addr, size int)  { m.p.Load(a, size) }
-func (m memAdapter) Store(a memsys.Addr, size int) { m.p.Store(a, size) }
-func (m memAdapter) Work(n uint64)                 { m.p.Work(n) }
 
 // Mem returns the session's charging interface for storage-level calls.
 func (s *Session) Mem() storage.Mem { return s.mem }

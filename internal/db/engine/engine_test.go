@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"dssmem/internal/db/catalog"
 	"dssmem/internal/db/dbtest"
 	"dssmem/internal/db/storage"
 	"dssmem/internal/memsys"
@@ -258,5 +259,106 @@ func TestColdPoolFallbackWithoutIOWaiter(t *testing.T) {
 	s.PinPage(int(tid.Page))
 	if db.DiskReads != 1 {
 		t.Fatal("resident page re-read")
+	}
+}
+
+// frozenFixture is a loaded, indexed database whose pool is then frozen.
+func frozenFixture() (*Database, *catalog.Relation) {
+	db := Open(Config{PoolPages: 64})
+	rel := db.CreateTable("t", kvSchema())
+	for i := 0; i < 1000; i++ {
+		rel.Heap.Append([]int64{int64(i), int64(i * 3)})
+	}
+	db.BuildIndex(rel, "t_k", 0)
+	db.Pool.Freeze()
+	return db, rel
+}
+
+// TestFrozenPoolWritesPanic pins the read-only guarantee of a shared image:
+// every path that writes pool pages or the catalog panics once the pool is
+// frozen, and leaves the pool's bytes as they were.
+func TestFrozenPoolWritesPanic(t *testing.T) {
+	tid := storage.TID{Page: 0, Slot: 3}
+	writes := map[string]func(db *Database, rel *catalog.Relation){
+		"AllocPage":   func(db *Database, _ *catalog.Relation) { db.Pool.AllocPage() },
+		"MarkPage":    func(db *Database, _ *catalog.Relation) { db.Pool.MarkPage(0, storage.PageIndex) },
+		"Heap.Append": func(_ *Database, rel *catalog.Relation) { rel.Heap.Append([]int64{1, 2}) },
+		"Heap.WriteField": func(_ *Database, rel *catalog.Relation) {
+			rel.Heap.WriteField(storage.NullMem{}, tid, 1, 7)
+		},
+		"btree.Insert": func(_ *Database, rel *catalog.Relation) { rel.Index("t_k").Insert(5, tid) },
+		"CreateTable":  func(db *Database, _ *catalog.Relation) { db.CreateTable("u", kvSchema()) },
+		"BuildIndex":   func(db *Database, rel *catalog.Relation) { db.BuildIndex(rel, "t_v", 1) },
+	}
+	for name, write := range writes {
+		db, rel := frozenFixture()
+		before := poolBytes(db.Pool)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen pool did not panic", name)
+				}
+			}()
+			write(db, rel)
+		}()
+		if string(poolBytes(db.Pool)) != string(before) || db.Catalog.Relations() != 1 || len(rel.Indexes) != 1 {
+			t.Errorf("%s changed the frozen database before panicking", name)
+		}
+		if got := rel.Heap.ReadField(storage.NullMem{}, tid, 1); got != 9 {
+			t.Errorf("after %s: read %d from a frozen pool, want 9", name, got)
+		}
+	}
+}
+
+// poolBytes copies the pool's allocated pages and their kinds.
+func poolBytes(p *storage.Pool) []byte {
+	var b []byte
+	for pg := 0; pg < p.Used(); pg++ {
+		b = append(b, byte(p.KindOf(pg)))
+		b = append(b, p.PageBytes(pg)...)
+	}
+	return b
+}
+
+func TestForkSharesImageWithFreshRunState(t *testing.T) {
+	img, rel := frozenFixture()
+	cfg := Config{PoolPages: 64, HintBitFraction: 1, ColdPool: true, IOLatency: 100, SpinLimit: 9}
+	a, b := img.Fork(cfg), img.Fork(cfg)
+	if a.Pool != img.Pool || a.Catalog != img.Catalog || a.SharedBytes != img.SharedBytes {
+		t.Fatal("fork does not share the image's pool and catalog")
+	}
+	if a.BufMgrLock == img.BufMgrLock || a.BufMgrLock == b.BufMgrLock || a.LockMgr == b.LockMgr {
+		t.Fatal("forks share lock state")
+	}
+	if a.BufMgrLock.SpinLimit != 9 {
+		t.Fatalf("fork spin limit %d, want 9", a.BufMgrLock.SpinLimit)
+	}
+	sa := a.NewSession(&dbtest.FakeProc{}, 0)
+	sa.PinPage(0)
+	sa.CheckHints(rel.Heap, storage.TID{Page: 0, Slot: 1})
+	if a.DiskReads != 1 || a.HintWrites != 1 {
+		t.Fatalf("fork a: disk reads %d, hint writes %d", a.DiskReads, a.HintWrites)
+	}
+	if b.DiskReads != 0 || b.HintWrites != 0 || b.hints != nil || b.resident[0] {
+		t.Fatal("one fork's run state leaked into another")
+	}
+	// Both forks place shared metadata exactly as the image does.
+	if a.headerAddr(5) != img.headerAddr(5) || a.hashAddr(5) != img.hashAddr(5) {
+		t.Fatal("fork moved the buffer descriptors")
+	}
+}
+
+func TestForkRejectsOtherLayout(t *testing.T) {
+	img, _ := frozenFixture()
+	img.Fork(Config{PoolPages: 64, BufHeaderBytes: DefaultBufHeaderBytes}) // the default, spelled out
+	for _, cfg := range []Config{{PoolPages: 65}, {PoolPages: 64, BufHeaderBytes: 64}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("fork with %+v of a 64-page, 32-byte-header image did not panic", cfg)
+				}
+			}()
+			img.Fork(cfg)
+		}()
 	}
 }

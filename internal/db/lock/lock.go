@@ -57,14 +57,24 @@ type holdWindow struct{ start, end uint64 }
 type windowRing struct {
 	buf [32]holdWindow
 	n   int
+	// latest is the latest end ever added. It bounds every recorded end
+	// from above (an overwritten window may have held it), so an attempt at
+	// or after it skips the scan.
+	latest uint64
 }
 
 func (w *windowRing) add(start, end uint64) {
 	w.buf[w.n%len(w.buf)] = holdWindow{start, end}
 	w.n++
+	if end > w.latest {
+		w.latest = end
+	}
 }
 
 func (w *windowRing) covers(t uint64) bool {
+	if t >= w.latest {
+		return false
+	}
 	for i := range w.buf {
 		if h := w.buf[i]; h.end > h.start && t >= h.start && t < h.end {
 			return true

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"math/rand"
 	"testing"
 
 	"dssmem/internal/memsys"
@@ -271,4 +272,47 @@ func TestManagerExclusiveReleaseByNonOwnerPanics(t *testing.T) {
 		}
 	}()
 	m.ReleaseExclusive(p, 2, 5)
+}
+
+// TestWindowRingCoversMatchesScan checks covers, with its latest-end early
+// exit, against a plain scan of every recorded window. Holds mostly advance
+// in time, as in a run, but some start before earlier ones end (lagging
+// clocks) and the ring wraps many times.
+func TestWindowRingCoversMatchesScan(t *testing.T) {
+	scan := func(w *windowRing, at uint64) bool {
+		for _, h := range w.buf {
+			if h.end > h.start && at >= h.start && at < h.end {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var w windowRing
+		clock := uint64(rng.Intn(1000))
+		for i := 0; i < 400; i++ {
+			start := clock
+			if rng.Intn(4) == 0 && start > 500 {
+				start -= uint64(rng.Intn(500)) // a lagging process's hold
+			}
+			end := start + 1 + uint64(rng.Intn(200))
+			w.add(start, end)
+			clock += uint64(rng.Intn(150))
+			for j := 0; j < 8; j++ {
+				at := uint64(0)
+				switch rng.Intn(3) {
+				case 0:
+					at = w.latest - 1 + uint64(rng.Intn(3)) // around the bound
+				case 1:
+					at = start + uint64(rng.Intn(int(end-start)+2))
+				default:
+					at = uint64(rng.Intn(int(clock) + 300))
+				}
+				if got, want := w.covers(at), scan(&w, at); got != want {
+					t.Fatalf("trial %d hold %d: covers(%d) = %v, scan says %v", trial, i, at, got, want)
+				}
+			}
+		}
+	}
 }

@@ -119,12 +119,17 @@ type TID struct {
 // AllocPage first reaches it. A pool sized with headroom thus
 // costs host memory only for the pages in use; simulated addresses do not
 // depend on the chunking.
+//
+// Once loaded, a pool can be frozen: every write path (AllocPage, MarkPage,
+// Heap.Append, Heap.WriteField, B+tree inserts) then panics, so one loaded
+// pool can serve concurrent runs read-only.
 type Pool struct {
 	base   memsys.Addr
 	chunks []*chunk // nil until a page in the chunk is allocated
 	kinds  []PageKind
 	pages  int
 	used   int
+	frozen bool
 }
 
 // chunkPages is the number of pages per host allocation of pool memory.
@@ -158,6 +163,19 @@ func (p *Pool) Pages() int { return p.pages }
 // Used returns the number of allocated pages.
 func (p *Pool) Used() int { return p.used }
 
+// Freeze makes the pool read-only for good.
+func (p *Pool) Freeze() { p.frozen = true }
+
+// Frozen reports whether Freeze was called.
+func (p *Pool) Frozen() bool { return p.frozen }
+
+// mustWrite panics when the pool is frozen.
+func (p *Pool) mustWrite() {
+	if p.frozen {
+		panic("storage: write to a frozen buffer pool")
+	}
+}
+
 // chunk returns chunk c, allocating it on first use.
 func (p *Pool) chunk(c int) *chunk {
 	if p.chunks[c] == nil {
@@ -168,6 +186,7 @@ func (p *Pool) chunk(c int) *chunk {
 
 // AllocPage reserves the next free page and returns its number.
 func (p *Pool) AllocPage() int {
+	p.mustWrite()
 	if p.used >= p.pages {
 		panic("storage: buffer pool exhausted; size the pool to hold the database")
 	}
@@ -178,7 +197,10 @@ func (p *Pool) AllocPage() int {
 }
 
 // MarkPage tags page pg with its kind.
-func (p *Pool) MarkPage(pg int, kind PageKind) { p.kinds[pg] = kind }
+func (p *Pool) MarkPage(pg int, kind PageKind) {
+	p.mustWrite()
+	p.kinds[pg] = kind
+}
 
 // KindOf returns the page kind of pg (PageUnknown when out of range).
 func (p *Pool) KindOf(pg int) PageKind {
@@ -213,6 +235,7 @@ func (p *Pool) slotCount(pg int) int {
 }
 
 func (p *Pool) setSlotCount(pg, n int) {
+	p.mustWrite()
 	binary.LittleEndian.PutUint16(p.PageBytes(pg), uint16(n))
 }
 
@@ -244,6 +267,7 @@ func (h *Heap) PoolPage(i int) int { return h.pages[i] }
 // Append adds a row (one int64 per column; 4-byte columns are truncated) and
 // returns its TID. Append is a bulk-load operation: it charges nothing.
 func (h *Heap) Append(vals []int64) TID {
+	h.pool.mustWrite()
 	if len(vals) != h.schema.NumCols() {
 		panic("storage: arity mismatch")
 	}
@@ -299,6 +323,7 @@ func (h *Heap) ReadField(m Mem, tid TID, col int) int64 {
 
 // WriteField updates one column in place, charging the store.
 func (h *Heap) WriteField(m Mem, tid TID, col int, v int64) {
+	h.pool.mustWrite()
 	addr, pg, off := h.fieldAddr(tid, col)
 	w := h.schema.Col(col).Width
 	m.Store(addr, w)

@@ -8,6 +8,7 @@
 package tpch
 
 import (
+	"sync"
 	"time"
 
 	"dssmem/internal/db/engine"
@@ -109,7 +110,7 @@ type Supplier struct {
 	NationKey int32
 }
 
-// Data is a generated database image. It must not change once RefDigest
+// Data is a generated dataset. It must not change once RefDigest or Image
 // has been called.
 type Data struct {
 	SF        float64
@@ -119,6 +120,9 @@ type Data struct {
 	Nations   []int32 // region of each nation
 
 	refs [Q1 + 1]refDigest // memoised reference answers, one per QueryID
+
+	imagesMu sync.Mutex
+	images   map[engine.Layout]*image // loaded databases, one per layout
 }
 
 // rng is a splitmix64 generator: deterministic across runs and platforms.

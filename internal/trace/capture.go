@@ -33,8 +33,8 @@ func CaptureQuery(w io.Writer, data *tpch.Data, q tpch.QueryID) (uint64, error) 
 	if err != nil {
 		return 0, err
 	}
-	db := engine.Open(engine.Config{PoolPages: tpch.PoolPagesFor(data)})
-	tpch.Load(db, data)
+	cfg := engine.Config{PoolPages: tpch.PoolPagesFor(data)}
+	db := data.Image(cfg).Fork(cfg)
 	p := &captureProc{tw: tw}
 	sess := db.NewSession(p, 0)
 	tpch.Run(q, sess)
